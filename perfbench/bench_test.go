@@ -125,28 +125,30 @@ func TestSeqRoundTrip(t *testing.T) {
 }
 
 func TestReferenceMatchesQueries(t *testing.T) {
-	qs := publishTCP.makeQueries()
-	ref := newReference(qs)
-	base := baseGenerator()
-	in := newInputs(base, 3, phaseUntraced, 0)
-	check := newInputs(base, 3, phaseUntraced, 0)
-	sum, count := ref.replay(in, 5000)
-	var wantSum uint64
-	var wantCount int64
-	for i := 0; i < 5000; i++ {
-		key, speed, seq := check.next()
-		for _, q := range qs {
-			cq := q.query()
-			if cq.Region.Contains(key) && speed > q.thr {
-				wantSum += matchHash(seq, q.id)
-				wantCount++
+	for _, w := range []tcpWorkload{publishTCP, fanoutBatchTCP} {
+		qs := w.makeQueries()
+		ref := newReference(qs)
+		base := baseGenerator()
+		in := newInputs(base, 3, phaseUntraced, 0)
+		check := newInputs(base, 3, phaseUntraced, 0)
+		sum, count := ref.replay(in, 5000)
+		var wantSum uint64
+		var wantCount int64
+		for i := 0; i < 5000; i++ {
+			key, speed, seq := check.next()
+			for _, q := range qs {
+				cq := q.query()
+				if cq.Region.Contains(key) && speed > q.thr {
+					wantSum += matchHash(seq, q.id)
+					wantCount++
+				}
 			}
 		}
-	}
-	if sum != wantSum || count != wantCount {
-		t.Fatalf("reference found %d matches, scanning every query finds %d", count, wantCount)
-	}
-	if count == 0 {
-		t.Fatal("no packet matched; the workload expects about one in ten")
+		if sum != wantSum || count != wantCount {
+			t.Fatalf("%d queries: reference found %d matches, scanning every query finds %d", len(qs), count, wantCount)
+		}
+		if count == 0 {
+			t.Fatalf("%d queries: no packet matched", len(qs))
+		}
 	}
 }

@@ -83,60 +83,24 @@ func replayLayers(m metricSet, cl *cluster, captured map[string][][]byte, batch 
 	}
 
 	if !batch {
-		reqs := captured[overlay.TypeAcceptObject]
-		replies := captured[overlay.TypeAcceptObject+".reply"]
-		for _, p := range reqs {
-			var o core.AcceptObjectMsg
-			if err := o.UnmarshalWire(p); err != nil {
-				return r, err
-			}
+		reqs, codecUs, err := replayCodec[core.AcceptObjectMsg, core.AcceptObjectReplyMsg](m, "accept_object", captured, overlay.TypeAcceptObject)
+		if err != nil {
+			return r, err
+		}
+		r.codecUs = codecUs
+		for _, o := range reqs {
 			if err := addObj(o); err != nil {
 				return r, err
 			}
 			frames = append(frames, []int{len(items) - 1})
 		}
-		var sink core.AcceptObjectMsg
-		unNs, unAllocs := measure(len(reqs), func() {
-			for _, p := range reqs {
-				_ = sink.UnmarshalWire(p)
-			}
-		})
-		buf := make([]byte, 0, 256)
-		mNs, mAllocs := measure(len(items), func() {
-			for i := range items {
-				buf = items[i].msg.MarshalWire(buf[:0])
-			}
-		})
-		decoded := make([]core.AcceptObjectReplyMsg, len(replies))
-		for i, p := range replies {
-			if err := decoded[i].UnmarshalWire(p); err != nil {
-				return r, err
-			}
-		}
-		var rsink core.AcceptObjectReplyMsg
-		ruNs, ruAllocs := measure(len(replies), func() {
-			for _, p := range replies {
-				_ = rsink.UnmarshalWire(p)
-			}
-		})
-		rmNs, rmAllocs := measure(len(decoded), func() {
-			for i := range decoded {
-				buf = decoded[i].MarshalWire(buf[:0])
-			}
-		})
-		setCodec(m, "accept_object", unNs, unAllocs, mNs, mAllocs)
-		setCodec(m, "accept_object_reply", ruNs, ruAllocs, rmNs, rmAllocs)
-		r.codecUs = (unNs + rmNs) / 1e3
 	} else {
-		reqs := captured[overlay.TypeAcceptBatch]
-		replies := captured[overlay.TypeAcceptBatch+".reply"]
-		var decoded []core.AcceptBatchMsg
-		for _, p := range reqs {
-			var b core.AcceptBatchMsg
-			if err := b.UnmarshalWire(p); err != nil {
-				return r, err
-			}
-			decoded = append(decoded, b)
+		reqs, codecUs, err := replayCodec[core.AcceptBatchMsg, core.AcceptBatchReplyMsg](m, "accept_batch", captured, overlay.TypeAcceptBatch)
+		if err != nil {
+			return r, err
+		}
+		r.codecUs = codecUs
+		for _, b := range reqs {
 			var idx []int
 			for _, o := range b.Objects {
 				if err := addObj(o); err != nil {
@@ -146,38 +110,6 @@ func replayLayers(m metricSet, cl *cluster, captured map[string][][]byte, batch 
 			}
 			frames = append(frames, idx)
 		}
-		var sink core.AcceptBatchMsg
-		unNs, unAllocs := measure(len(reqs), func() {
-			for _, p := range reqs {
-				_ = sink.UnmarshalWire(p)
-			}
-		})
-		buf := make([]byte, 0, 8192)
-		mNs, mAllocs := measure(len(decoded), func() {
-			for i := range decoded {
-				buf = decoded[i].MarshalWire(buf[:0])
-			}
-		})
-		rdecoded := make([]core.AcceptBatchReplyMsg, len(replies))
-		for i, p := range replies {
-			if err := rdecoded[i].UnmarshalWire(p); err != nil {
-				return r, err
-			}
-		}
-		var rsink core.AcceptBatchReplyMsg
-		ruNs, ruAllocs := measure(len(replies), func() {
-			for _, p := range replies {
-				_ = rsink.UnmarshalWire(p)
-			}
-		})
-		rmNs, rmAllocs := measure(len(rdecoded), func() {
-			for i := range rdecoded {
-				buf = rdecoded[i].MarshalWire(buf[:0])
-			}
-		})
-		setCodec(m, "accept_batch", unNs, unAllocs, mNs, mAllocs)
-		setCodec(m, "accept_batch_reply", ruNs, ruAllocs, rmNs, rmAllocs)
-		r.codecUs = (unNs + rmNs) / 1e3
 
 		// One HandleAcceptObjectBatch per captured frame on the node that
 		// owns its keys.
@@ -249,11 +181,63 @@ func replayLayers(m metricSet, cl *cluster, captured map[string][][]byte, batch 
 	return r, nil
 }
 
-func setCodec(m metricSet, typ string, unNs, unAllocs, mNs, mAllocs float64) {
-	m.set("codec.unmarshal_ns."+typ, unNs, "ns")
-	m.set("codec.unmarshal_allocs."+typ, unAllocs, "count")
-	m.set("codec.marshal_ns."+typ, mNs, "ns")
-	m.set("codec.marshal_allocs."+typ, mAllocs, "count")
+// wirePtr is a pointer to a wire message whose codec the replay times.
+type wirePtr[T any] interface {
+	*T
+	MarshalWire([]byte) []byte
+	UnmarshalWire([]byte) error
+}
+
+// replayCodec decodes the captured request and reply frames of message type
+// typ, records the codec metrics of name and name_reply, and returns the
+// decoded requests and the codec µs a node spends per frame: unmarshalling
+// the request and marshalling the reply.
+func replayCodec[Req, Rep any, PReq wirePtr[Req], PRep wirePtr[Rep]](m metricSet, name string, captured map[string][][]byte, typ string) ([]Req, float64, error) {
+	reqFrames, repFrames := captured[typ], captured[typ+".reply"]
+	reqs, err := decodeFrames[Req, PReq](reqFrames)
+	if err != nil {
+		return nil, 0, err
+	}
+	reps, err := decodeFrames[Rep, PRep](repFrames)
+	if err != nil {
+		return nil, 0, err
+	}
+	unNs, _ := codecCost[Req, PReq](m, name, reqFrames, reqs)
+	_, mNs := codecCost[Rep, PRep](m, name+"_reply", repFrames, reps)
+	return reqs, (unNs + mNs) / 1e3, nil
+}
+
+func decodeFrames[T any, P wirePtr[T]](frames [][]byte) ([]T, error) {
+	out := make([]T, len(frames))
+	for i, p := range frames {
+		if err := P(&out[i]).UnmarshalWire(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// codecCost times UnmarshalWire over captured frames and MarshalWire over
+// their decoded messages, records both as name's codec metrics and returns
+// ns per frame of each.
+func codecCost[T any, P wirePtr[T]](m metricSet, name string, frames [][]byte, decoded []T) (unNs, mNs float64) {
+	var sink T
+	unNs, unAllocs := measure(len(frames), func() {
+		for _, p := range frames {
+			_ = P(&sink).UnmarshalWire(p)
+		}
+	})
+	var buf []byte
+	mNs, mAllocs := measure(len(decoded), func() {
+		for i := range decoded {
+			buf = P(&decoded[i]).MarshalWire(buf[:0])
+		}
+	})
+	m.set("codec.unmarshal_ns."+name, unNs, "ns")
+	m.set("codec.unmarshal_allocs."+name, unAllocs, "count")
+	m.set("codec.marshal_ns."+name, mNs, "ns")
+	m.set("codec.marshal_allocs."+name, mAllocs, "count")
+	return unNs, mNs
 }
 
 // decodeAttrs reads the attribute map from an encoded data packet: a

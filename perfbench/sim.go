@@ -13,10 +13,9 @@ const (
 	// simNodes sizes each replay to a few seconds of wall time, so a window
 	// holds enough replays for its medians.
 	simNodes = 500
-	// simWarmNodes sizes the warm-up replay that is part of set-up.
-	simWarmNodes = 64
-	// simSetups is how many times a run sets up; setup_s is the median.
-	simSetups = 5
+	// simSetups is how many times a run builds the scenario; setup_s is the
+	// median. A build takes tens of µs, so it takes many for a steady median.
+	simSetups = 1001
 )
 
 // simReplay is one timed sim.Run.
@@ -66,22 +65,18 @@ func replayUntil(out *outcome, seed int64, first int, d time.Duration) ([]simRep
 }
 
 // runSim runs the split-merge scenario of the deterministic simulator: set-up
-// builds the scenario and warms the process with a small replay; the window
-// replays the scenario at simNodes nodes on successive seeds.
+// builds the scenario; the window replays it at simNodes nodes on successive
+// seeds.
 func runSim(cfg runConfig) (*outcome, error) {
 	out := &outcome{metrics: metricSet{}}
 	m := out.metrics
-	var setupTimes []float64
-	for i := 0; i < simSetups; i++ {
+	setupTimes := make([]float64, simSetups)
+	for i := range setupTimes {
 		t0 := time.Now()
-		sc, err := sim.Named(simScenario, simWarmNodes, simSeed(cfg.seed, -1-i))
-		if err != nil {
+		if _, err := sim.Named(simScenario, simNodes, simSeed(cfg.seed, i)); err != nil {
 			return nil, err
 		}
-		if _, err := sim.Run(sc); err != nil {
-			return nil, err
-		}
-		setupTimes = append(setupTimes, time.Since(t0).Seconds())
+		setupTimes[i] = time.Since(t0).Seconds()
 	}
 	m.set("setup_s", median(setupTimes), "s")
 
@@ -101,6 +96,7 @@ func runSim(cfg runConfig) (*outcome, error) {
 		return nil, err
 	}
 	d := before.to(readProc())
+	simEndToEnd(m, plain)
 	prof, err := startProfile(cfg.artifact("-cpu.pprof"))
 	if err != nil {
 		return nil, err
@@ -153,7 +149,6 @@ func runSim(cfg runConfig) (*outcome, error) {
 	if err := foldProfile(m, cfg.artifact("-cpu.pprof")); err != nil {
 		return nil, err
 	}
-	fmt.Printf("sim: %d replays of %s at %d nodes, %.2f s each untraced\n", len(plain), simScenario, simNodes, plainWall.Seconds()/float64(len(plain)))
 	return out, nil
 }
 

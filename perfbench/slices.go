@@ -12,6 +12,8 @@ import (
 // are exact, and each power of two above is split into 2^subBits buckets, so
 // a quantile is within 1/2^subBits of a recorded value. Its memory is fixed,
 // so how much the benchmark records does not show in the process's RSS.
+// metrics.LatencyHist has 16 buckets per power of two; its ~6% steps would
+// make a median latency read the same bucket in run after run.
 type hist struct {
 	counts [(64 - subBits) << subBits]uint64
 	n      int64

@@ -25,11 +25,10 @@ import (
 type tcpWorkload struct {
 	// batch is the PublishBatch size; 0 publishes one packet per Publish.
 	batch int
-	// queries continuous queries are registered during set-up, spread evenly
-	// over the 2^queryDepth regions of depth queryDepth, each with a
-	// speed > threshold predicate, thresholds in [thrLo, thrHi).
-	queries      int
-	thrLo, thrHi float64
+	// One continuous query is registered during set-up in each of the 2^depth
+	// regions of depth depth, each with the predicate speed > thr.
+	depth int
+	thr   float64
 	// warmCalls is how many calls each caller makes while warming up.
 	warmCalls int
 	// callers is how many closed-loop callers drive the cluster, at most
@@ -37,22 +36,17 @@ type tcpWorkload struct {
 	callers int
 }
 
+// The query regions of a workload tile the key space and share one
+// threshold, so how often packets match does not depend on which streams a
+// seed draws; they are deeper than the root groups, so each region lies
+// inside one group.
 var (
-	// publishTCP: one query per region, matching about one publish in ten.
-	publishTCP = tcpWorkload{queries: 8, thrLo: 85, thrHi: 95, warmCalls: 2000, callers: 2}
-	// fanoutBatchTCP: 32 queries per region match 0.56 times per object,
-	// and each match is pushed to the client. One caller, and no more
-	// matches than that, leave the client's match consumers the CPU to keep
-	// up: on a 2-CPU machine a second caller, or 0.8 matches per object,
-	// overflows the client's match channel, which drops matches.
-	fanoutBatchTCP = tcpWorkload{batch: 64, queries: 256, thrLo: 96.5, thrHi: 100, warmCalls: 60, callers: 1}
+	// publishTCP: 8 queries, matching one publish in ten.
+	publishTCP = tcpWorkload{depth: 3, thr: 90, warmCalls: 500, callers: 2}
+	// fanoutBatchTCP: 256 queries, so 80% of objects match once and each
+	// match is pushed to the client.
+	fanoutBatchTCP = tcpWorkload{batch: 64, depth: 8, thr: 20, warmCalls: 20, callers: 2}
 )
-
-// queryDepth is the depth of every query region. Regions this shallow cover
-// the whole key space evenly, so how often packets match hardly depends on
-// which streams a seed draws; they are still deeper than the root groups, so
-// each region lies inside one group.
-const queryDepth = 3
 
 const (
 	clusterNodes = 2
@@ -126,28 +120,18 @@ func baseGenerator() *workload.KeyGenerator {
 }
 
 // benchQuery is a registered continuous query as the reference matcher sees
-// it: a region prefix of depth queryDepth and a speed threshold.
+// it: a region prefix of depth depth and a speed threshold.
 type benchQuery struct {
 	id     string
 	region uint64
+	depth  int
 	thr    float64
 }
 
 func (w tcpWorkload) makeQueries() []benchQuery {
-	// Query i takes region i mod 2^queryDepth; the queries of a region take
-	// evenly spaced thresholds in [thrLo, thrHi). Every region then matches
-	// the same share of its packets, so the match volume does not depend on
-	// which regions a seed's key streams visit.
-	regions := 1 << queryDepth
-	perRegion := max(w.queries/regions, 1)
-	qs := make([]benchQuery, w.queries)
+	qs := make([]benchQuery, 1<<w.depth)
 	for i := range qs {
-		j := i / regions
-		qs[i] = benchQuery{
-			id:     fmt.Sprintf("q%03d", i),
-			region: uint64(i % regions),
-			thr:    w.thrLo + (float64(j)+0.5)/float64(perRegion)*(w.thrHi-w.thrLo),
-		}
+		qs[i] = benchQuery{id: fmt.Sprintf("q%03d", i), region: uint64(i), depth: w.depth, thr: w.thr}
 	}
 	return qs
 }
@@ -155,7 +139,7 @@ func (w tcpWorkload) makeQueries() []benchQuery {
 func (q benchQuery) query() cq.Query {
 	return cq.Query{
 		ID:         q.id,
-		Region:     bitkey.NewGroup(bitkey.Key{Value: q.region, Bits: queryDepth}),
+		Region:     bitkey.NewGroup(bitkey.Key{Value: q.region, Bits: q.depth}),
 		Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: q.thr}},
 	}
 }
@@ -178,11 +162,13 @@ func matchHash(seq uint64, qid string) uint64 {
 // reference recomputes which queries each packet of a phase must match,
 // straight from the registered regions and predicates.
 type reference struct {
+	depth    int
 	byRegion map[uint64][]benchQuery
 }
 
+// newReference indexes a workload's queries, which share one region depth.
 func newReference(qs []benchQuery) *reference {
-	r := &reference{byRegion: make(map[uint64][]benchQuery)}
+	r := &reference{depth: qs[0].depth, byRegion: make(map[uint64][]benchQuery)}
 	for _, q := range qs {
 		r.byRegion[q.region] = append(r.byRegion[q.region], q)
 	}
@@ -194,7 +180,7 @@ func newReference(qs []benchQuery) *reference {
 func (r *reference) replay(in *inputs, n int64) (sum uint64, count int64) {
 	for i := int64(0); i < n; i++ {
 		key, speed, seq := in.next()
-		for _, q := range r.byRegion[key.Value>>(keyBits-queryDepth)] {
+		for _, q := range r.byRegion[key.Value>>(keyBits-r.depth)] {
 			if speed > q.thr {
 				sum += matchHash(seq, q.id)
 				count++
@@ -342,9 +328,14 @@ func (c *cluster) close() {
 	}
 }
 
-// receivers is how many goroutines drain the client's match channel; more
-// than one keeps the channel from filling while one of them waits for a CPU.
-const receivers = 8
+// drainers goroutines receive from the client's match channel and only hand
+// each match on, so the channel is read as fast as the runtime schedules
+// them; while any of them is parked on the channel, a pushed match bypasses
+// its buffer. recorders goroutines then time and count the matches.
+const (
+	drainers  = 128
+	recorders = 8
+)
 
 // receiver drains the client's match channel, timing each match back to its
 // publish through the send time in the packet payload.
@@ -353,16 +344,35 @@ type receiver struct {
 	sum   [numPhases]atomic.Uint64
 	bad   atomic.Int64
 	win   phaseWindows
-	// lat holds each goroutine's match latencies per timed phase; a
-	// goroutine owns its row until Stop returns.
-	lat  [receivers][numPhases]*sliced
+	// lat holds each recorder's match latencies per timed phase; a
+	// recorder owns its row until Stop returns.
+	lat  [recorders][numPhases]*sliced
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
 func startReceiver(ch <-chan overlay.Match) *receiver {
 	r := &receiver{stop: make(chan struct{})}
-	for i := 0; i < receivers; i++ {
+	fwd := make(chan overlay.Match, 8192)
+	for i := 0; i < drainers; i++ {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			for {
+				select {
+				case <-r.stop:
+					return
+				case m := <-ch:
+					select {
+					case fwd <- m:
+					case <-r.stop:
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < recorders; i++ {
 		r.wg.Add(1)
 		go func(i int) {
 			defer r.wg.Done()
@@ -370,7 +380,7 @@ func startReceiver(ch <-chan overlay.Match) *receiver {
 				select {
 				case <-r.stop:
 					return
-				case m := <-ch:
+				case m := <-fwd:
 					r.take(i, m)
 				}
 			}
@@ -379,7 +389,7 @@ func startReceiver(ch <-chan overlay.Match) *receiver {
 	return r
 }
 
-func (r *receiver) take(worker int, m overlay.Match) {
+func (r *receiver) take(recorder int, m overlay.Match) {
 	now := time.Now()
 	if len(m.Payload) != payloadLen {
 		r.bad.Add(1)
@@ -392,10 +402,10 @@ func (r *receiver) take(worker int, m overlay.Match) {
 		return
 	}
 	if w := r.win[phase].Load(); w != nil {
-		s := r.lat[worker][phase]
+		s := r.lat[recorder][phase]
 		if s == nil {
 			s = newSliced(w)
-			r.lat[worker][phase] = s
+			r.lat[recorder][phase] = s
 		}
 		s.hists[w.slice(now)].add(int64(now.Sub(origin)) - int64(binary.LittleEndian.Uint64(m.Payload[8:])))
 	}
@@ -710,14 +720,21 @@ func (w tcpWorkload) setup(rec *recorder, seed int64, qs []benchQuery) (*cluster
 
 func (w tcpWorkload) numCallers() int { return min(runtime.NumCPU(), w.callers) }
 
-// rounds is how many fresh clusters an untraced run sets up and measures,
-// each for a share of the window; setup_s is the median set-up time and the
-// other figures are medians over the slices of every round, so one cluster
-// that happens to run fast or slow does not decide the result.
-const rounds = 3
+// An untraced run sets up setups fresh clusters and drives the first rounds
+// of them, each for a share of the window. setup_s is the median set-up time
+// and the other figures are medians over the slices of every driven round,
+// so one set-up or cluster that happens to run fast or slow does not decide
+// the result.
+const (
+	setups = 31
+	rounds = 3
+)
 
 // runTCP runs one TCP workload, untraced or traced.
 func runTCP(cfg runConfig, w tcpWorkload) (*outcome, error) {
+	if cfg.window < rounds*sliceEvery {
+		return nil, fmt.Errorf("--seconds must be at least %v for a TCP workload: %d rounds of at least one %v slice", rounds*sliceEvery, rounds, sliceEvery)
+	}
 	if cfg.traced {
 		return runTCPTraced(cfg, w)
 	}
@@ -729,14 +746,18 @@ func runTCP(cfg runConfig, w tcpWorkload) (*outcome, error) {
 	var ok, cpu float64
 	var wall time.Duration
 	var first *phaseRun
-	for r := 0; r < rounds; r++ {
-		seed := cfg.seed*rounds + int64(r)
+	for r := 0; r < setups; r++ {
+		seed := cfg.seed*setups + int64(r)
 		t0 := time.Now()
 		cl, err := w.setup(nil, seed, qs)
 		if err != nil {
 			return nil, err
 		}
 		setupTimes = append(setupTimes, time.Since(t0).Seconds())
+		if r >= rounds {
+			cl.close()
+			continue
+		}
 		p := w.drive(cl, nil, seed, phaseUntraced, cfg.window/rounds, 0)
 		verify(out, cl, qs, seed, p)
 		st.add(computeSlices(p.win, p.lats(), cl.rcv.latencies(p.phase), p.cpu))
@@ -791,6 +812,7 @@ func runTCPTraced(cfg runConfig, w tcpWorkload) (*outcome, error) {
 
 	half := cfg.window / 2
 	plain := w.drive(cl, rec, cfg.seed, phaseUntraced, half, 0)
+	m.set("peak_mem_mb", peakRSSMB(), "MB") // before the spans take memory
 	prof, err := startProfile(cfg.artifact("-cpu.pprof"))
 	if err != nil {
 		return nil, err
@@ -811,6 +833,7 @@ func runTCPTraced(cfg runConfig, w tcpWorkload) (*outcome, error) {
 	ok := float64(plain.total(func(c *caller) int64 { return c.ok }))
 	st := computeSlices(plain.win, plain.lats(), cl.rcv.latencies(plain.phase), plain.cpu)
 	p50 := median(st.p50)
+	m.set("publish_per_s", median(st.perS), "1/s")
 	m.set("publish_p50_us", p50, "us")
 	m.set("publish_p99_us", median(st.p99), "us")
 	m.set("match_p50_us", median(st.matchP50), "us")
