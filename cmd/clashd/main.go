@@ -13,8 +13,9 @@
 //	clashd -addr 127.0.0.1:7002 -status 127.0.0.2:8002 -join 127.0.0.1:7001
 //
 // The -status address serves the node's control plane (internal/hub):
-// GET /status (JSON snapshot), GET /metrics (Prometheus), GET /topology
-// (ring walk), GET /traces/sample, GET /traces/spans (hop spans of sampled
+// GET /status (JSON snapshot), GET /metrics (Prometheus; the per-stage
+// trace latencies in clash_trace_stage_seconds are derived from hop spans),
+// GET /topology (ring walk), GET /traces/spans (hop spans of sampled
 // publishes, scraped by clashtop), GET /events (server-sent event stream),
 // and the POST /admin/{drain,undrain,rebalance} and
 // POST /admin/{split,merge}/{group} verbs.

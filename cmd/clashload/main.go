@@ -108,9 +108,10 @@ type benchResults struct {
 // (the baseline the hot path must not regress — untraced requests skip every
 // span branch), the production sampling rate (one publish in SampledEvery
 // carries a trace ID), and every publish sampled (worst case: each hop on the
-// path records spans and stage timings for each packet). Each mode keeps its
-// best throughput over Rounds alternating rounds, which filters scheduler and
-// GC noise that would otherwise dwarf the effect on sub-second drives.
+// path records a span, and its stage histogram sample, for each packet).
+// Each mode keeps its best throughput over Rounds alternating rounds, which
+// filters scheduler and GC noise that would otherwise dwarf the effect on
+// sub-second drives.
 type traceOverhead struct {
 	Rounds        int     `json:"rounds"`
 	UntracedPPS   float64 `json:"untraced_pps"`
@@ -324,7 +325,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	var traces *hub.Traces
 	if traceEvery > 0 {
 		client.SetTraceEvery(traceEvery)
-		traces = hub.NewTraces(0, reg)
+		traces = hub.NewTraces(reg)
 		for _, n := range nodes {
 			n.SetObserver(traces)
 		}
@@ -533,14 +534,14 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	if traces != nil {
 		if stages := traces.StageSummaries(); len(stages) > 0 {
 			var parts []string
-			for _, st := range []string{overlay.TraceStageRoute, overlay.TraceStageResolve, overlay.TraceStageMatch, overlay.TraceStageDeliver} {
+			for _, st := range []string{"route", "resolve", "match", "deliver"} {
 				if s, ok := stages[st]; ok {
 					parts = append(parts, fmt.Sprintf("%s p50=%.0f p99=%.0f n=%d", st, s.P50, s.P99, s.Count))
 				}
 			}
-			fmt.Printf("  trace stages µs: %s (%d records)\n", strings.Join(parts, " | "), traces.Count())
+			fmt.Printf("  trace stages µs: %s (%d spans)\n", strings.Join(parts, " | "), traces.SpanCount())
 		} else if inproc <= 0 {
-			fmt.Printf("  trace stages: recorded on the serving nodes' hubs (/traces/sample)\n")
+			fmt.Printf("  trace stages: derived from hop spans on the serving nodes' hubs (/metrics clash_trace_stage_seconds, /traces/spans)\n")
 		}
 	}
 	for _, n := range res.Nodes {
@@ -555,7 +556,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	var tcmp *traceOverhead
 	if traceCompare {
 		if traces == nil {
-			traces = hub.NewTraces(0, reg)
+			traces = hub.NewTraces(reg)
 			for _, n := range nodes {
 				n.SetObserver(traces)
 			}

@@ -2,8 +2,7 @@
 // BENCH_wire.json snapshot:
 //
 //   - codec microbenchmarks: the hand-rolled binary MarshalWire/UnmarshalWire
-//     against the retained JSON baseline (overlay/legacy_json.go), ns/op,
-//     allocs/op and encoded sizes;
+//     against an encoding/json baseline, ns/op, allocs/op and encoded sizes;
 //   - transport benchmark: sequential vs pipelined call throughput over a
 //     single multiplexed TCP connection;
 //   - end-to-end benchmark: publish throughput against a small live overlay

@@ -60,8 +60,8 @@ type AcceptObjectMsg struct {
 	// record).
 	Payload []byte `json:"payload,omitempty"`
 	// TraceID is the request-tracing context: a non-zero value marks this
-	// object as sampled, and every server on its path records per-stage
-	// timings under the ID (overlay trace plumbing, clashd /traces/sample).
+	// object as sampled, and every server on its path records a hop span
+	// under the ID (overlay trace plumbing, clashd /traces/spans).
 	// Zero means untraced. Appended after the original fields per the
 	// wire-evolution rule, so pre-trace peers interoperate: an old decoder
 	// ignores the trailing field, an old encoder yields TraceID 0.

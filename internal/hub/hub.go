@@ -1,11 +1,11 @@
 // Package hub is the control plane of one overlay node: it implements
 // overlay.Observer and exposes the node over HTTP — Prometheus metrics,
-// the JSON status snapshot, a ring-walk topology view, sampled request
-// traces, a server-sent event stream of protocol events, and admin verbs
-// (drain, split, merge, rebalance).
+// the JSON status snapshot, a ring-walk topology view, the hop spans of
+// sampled publishes, a server-sent event stream of protocol events, and
+// admin verbs (drain, split, merge, rebalance).
 //
 // The hub is strictly read-through: metric values are collected from the
-// node at scrape time (no background polling), events and traces arrive via
+// node at scrape time (no background polling), events and spans arrive via
 // the observer callbacks, and admin verbs call straight into the node's
 // public internals API. clashd mounts Handler() on its -status address.
 package hub
@@ -52,7 +52,7 @@ func New(node *overlay.Node) *Hub {
 		node:   node,
 		reg:    reg,
 		bus:    NewBus(),
-		traces: NewTraces(tracesCapacity, reg),
+		traces: NewTraces(reg),
 	}
 	h.events = reg.CounterVec("clash_events_total",
 		"Protocol events observed, by type.", "type")
@@ -74,14 +74,6 @@ func (h *Hub) Traces() *Traces { return h.traces }
 func (h *Hub) OnEvent(ev overlay.Event) {
 	h.events.With(ev.Type).Inc()
 	h.bus.Publish(ev)
-}
-
-// OnTrace implements overlay.Observer.
-func (h *Hub) OnTrace(rec overlay.TraceRecord) { h.traces.OnTrace(rec) }
-
-// OnTraceStage implements overlay.Observer.
-func (h *Hub) OnTraceStage(stage string, micros int64) {
-	h.traces.OnTraceStage(stage, micros)
 }
 
 // OnSpan implements overlay.Observer.
@@ -107,6 +99,8 @@ func (h *Hub) registerCollectors() {
 	groupsActive := reg.Gauge("clash_groups_active", "Active key groups held by this node.")
 	queries := reg.Gauge("clash_queries", "Continuous queries stored on this node.")
 	draining := reg.Gauge("clash_draining", "1 while the node is in admin drain mode.")
+	repOrigins := reg.Gauge("clash_replica_origins", "Peers whose key-group replicas this node holds.")
+	repGroups := reg.Gauge("clash_replica_groups", "Key groups across the peer replicas this node holds.")
 	groupLoad := reg.GaugeVec("clash_group_load_fraction",
 		"Per-group load fraction at the last load check.", "group")
 	matchDrops := reg.Counter("clash_match_drops_total",
@@ -166,6 +160,9 @@ func (h *Hub) registerCollectors() {
 		} else {
 			draining.Set(0)
 		}
+		origins, groups := h.node.ReplicaCounts()
+		repOrigins.Set(float64(origins))
+		repGroups.Set(float64(groups))
 		groupLoad.Reset()
 		for g, l := range h.node.GroupLoads() {
 			groupLoad.With(g).Set(l)
@@ -215,7 +212,6 @@ func (h *Hub) Handler() http.Handler {
 	mux.Handle("GET /metrics", h.reg)
 	mux.HandleFunc("GET /status", h.serveStatus)
 	mux.HandleFunc("GET /topology", h.serveTopology)
-	mux.HandleFunc("GET /traces/sample", h.serveTraces)
 	mux.HandleFunc("GET /traces/spans", h.serveSpans)
 	mux.HandleFunc("GET /events", h.serveEvents)
 	mux.HandleFunc("POST /admin/drain", h.adminDrain)
@@ -243,10 +239,6 @@ func writeJSONError(w http.ResponseWriter, code int, err error) {
 
 func (h *Hub) serveStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, h.node.Status())
-}
-
-func (h *Hub) serveTraces(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, h.traces.Sample(64))
 }
 
 // serveSpans returns this node's retained hop spans. ?traceId= (decimal)

@@ -156,21 +156,22 @@ func httpPost(t *testing.T, url string) (int, string) {
 
 // awaitEvent connects to an /events stream and reads until an event of the
 // wanted type arrives (replay included via ?since=0) or the timeout expires.
-func awaitEvent(t *testing.T, baseURL, evType string, timeout time.Duration) overlay.Event {
-	t.Helper()
+// It reports failures as errors, not through t, so it can run on a goroutine
+// that may outlive the test.
+func awaitEvent(baseURL, evType string, timeout time.Duration) (overlay.Event, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/events?since=0", nil)
 	if err != nil {
-		t.Fatal(err)
+		return overlay.Event{}, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("GET /events: %v", err)
+		return overlay.Event{}, fmt.Errorf("GET /events: %v", err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/events content-type = %q", ct)
+		return overlay.Event{}, fmt.Errorf("/events content-type = %q", ct)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
@@ -180,23 +181,86 @@ func awaitEvent(t *testing.T, baseURL, evType string, timeout time.Duration) ove
 		}
 		var ev overlay.Event
 		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			t.Fatalf("bad event JSON %q: %v", line, err)
+			return overlay.Event{}, fmt.Errorf("bad event JSON %q: %v", line, err)
 		}
 		if ev.Type == evType {
-			return ev
+			return ev, nil
 		}
 	}
-	t.Fatalf("event %q not seen on %s/events: %v", evType, baseURL, sc.Err())
-	return overlay.Event{}
+	return overlay.Event{}, fmt.Errorf("event %q not seen on %s/events: %v", evType, baseURL, sc.Err())
+}
+
+// splittable returns a member and one of its active groups that an admin
+// split can hand off. A split whose right child maps back to the splitting
+// node re-splits that child (the documented self-map cascade) and fails
+// with ErrMaxDepth when the whole chain down to full depth is self-mapped,
+// which happens when one member's chord arc covers most of the ring. So it
+// prefers a group whose right child's virtual key another member owns, and
+// otherwise takes the group whose chain reaches a foreign owner soonest. It
+// reports false when every chain is self-mapped.
+func (c *testCluster) splittable() (int, bitkey.Group, bool) {
+	space := chord.DefaultSpace()
+	ids := make([]chord.ID, len(c.nodes))
+	for i, n := range c.nodes {
+		ids[i] = chord.ID(n.Status().ChordID)
+	}
+	// The owner of a point is its successor: the member at the smallest
+	// clockwise distance from it.
+	owner := func(vk bitkey.Key) int {
+		id := space.HashBytes(vk.Bytes())
+		best := 0
+		for i := range ids {
+			if uint64(ids[i]-id)&space.Mask() < uint64(ids[best]-id)&space.Mask() {
+				best = i
+			}
+		}
+		return best
+	}
+	holder, group, bestSteps := -1, bitkey.Group{}, c.cfg.KeyBits
+	for i, n := range c.nodes {
+		for _, g := range n.Server().ActiveGroups() {
+			cur := g
+			for steps := 0; steps < bestSteps; steps++ {
+				// The chain ends at full key depth.
+				_, right, err := cur.Split()
+				if err != nil {
+					break
+				}
+				vk, err := right.VirtualKey(c.cfg.KeyBits)
+				if err != nil {
+					break
+				}
+				if owner(vk) != i {
+					holder, group, bestSteps = i, g, steps
+					break
+				}
+				cur = right
+			}
+		}
+	}
+	return holder, group, holder >= 0
 }
 
 // TestHubControlPlane drives a live 3-node TCP cluster through traced
 // publishes and an admin split, then checks every read endpoint: /metrics
 // (lints clean, carries the protocol/transport/trace families), /status,
-// /topology (complete ring walk), /traces/sample, and /events (the split
+// /topology (complete ring walk), /traces/spans, and /events (the split
 // event arrives on a live SSE stream).
 func TestHubControlPlane(t *testing.T) {
-	c := newTestCluster(t, 3)
+	// Ring positions follow the random loopback ports. A ring where one
+	// member's arc covers every group's split chain admits no admin split,
+	// so such a ring is redrawn.
+	var c *testCluster
+	var hi int
+	var group bitkey.Group
+	ok := false
+	for attempt := 0; attempt < 3 && !ok; attempt++ {
+		c = newTestCluster(t, 3)
+		hi, group, ok = c.splittable()
+	}
+	if !ok {
+		t.Skip("no ring in 3 draws admitted an admin split")
+	}
 	cli := c.client(t)
 	cli.SetTraceEvery(1)
 
@@ -208,25 +272,32 @@ func TestHubControlPlane(t *testing.T) {
 		}
 	}
 
-	hi := c.holderIdx(t)
 	base := c.srvs[hi].URL
 
 	// Live event stream: subscribe first, then trigger the split.
-	evCh := make(chan overlay.Event, 1)
+	type evResult struct {
+		ev  overlay.Event
+		err error
+	}
+	evCh := make(chan evResult, 1)
 	go func() {
-		evCh <- awaitEvent(t, base, overlay.EventSplit, 10*time.Second)
+		ev, err := awaitEvent(base, overlay.EventSplit, 10*time.Second)
+		evCh <- evResult{ev, err}
 	}()
 	// Give the stream a moment to attach so the test exercises live fan-out
 	// (replay would still catch the event either way).
 	time.Sleep(50 * time.Millisecond)
 
-	group := c.nodes[hi].Server().ActiveGroups()[0]
 	code, body := httpPost(t, base+"/admin/split/"+group.String())
 	if code != http.StatusOK {
 		t.Fatalf("admin split: %d %s", code, body)
 	}
 	select {
-	case ev := <-evCh:
+	case r := <-evCh:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		ev := r.ev
 		if ev.Group != group.String() {
 			t.Errorf("split event group = %q, want %q", ev.Group, group)
 		}
@@ -275,20 +346,30 @@ func TestHubControlPlane(t *testing.T) {
 		t.Error("/metrics missing route-stage trace histogram samples")
 	}
 
-	// Traces: the sampled publishes produced records with a route stage.
-	code, body = httpGet(t, base+"/traces/sample")
+	// Spans: the sampled publishes left hop spans, and the landed probes
+	// among them feed the route stage.
+	code, body = httpGet(t, base+"/traces/spans")
 	if code != http.StatusOK {
-		t.Fatalf("/traces/sample: %d", code)
+		t.Fatalf("/traces/spans: %d", code)
 	}
-	var sample TraceSample
+	var sample SpanSample
 	if err := json.Unmarshal([]byte(body), &sample); err != nil {
-		t.Fatalf("/traces/sample JSON: %v", err)
+		t.Fatalf("/traces/spans JSON: %v", err)
 	}
-	if sample.Count == 0 || len(sample.Recent) == 0 {
-		t.Fatalf("no traces sampled: %+v", sample)
+	if sample.Count == 0 || len(sample.Spans) == 0 {
+		t.Fatalf("no spans sampled: %+v", sample)
 	}
-	if _, ok := sample.Stages[overlay.TraceStageRoute]; !ok {
-		t.Errorf("trace sample missing route stage: %v", sample.Stages)
+	routed := 0
+	for _, sp := range sample.Spans {
+		if sp.Stage() == "route" {
+			routed++
+		}
+	}
+	if routed == 0 {
+		t.Errorf("no span maps to the route stage: %+v", sample.Spans)
+	}
+	if got := c.hubs[hi].Traces().StageSummaries()["route"].Count; got < routed {
+		t.Errorf("route stage count = %d, want >= %d landed spans", got, routed)
 	}
 
 	// Status passthrough.
@@ -385,7 +466,10 @@ func TestHubRecoveryEvents(t *testing.T) {
 		t.Fatal("no survivor promoted a replica")
 	}
 
-	ev := awaitEvent(t, c.srvs[recovered].URL, overlay.EventRecovery, 10*time.Second)
+	ev, err := awaitEvent(c.srvs[recovered].URL, overlay.EventRecovery, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ev.Peer != c.nodes[victim].Addr() {
 		t.Errorf("recovery event peer = %q, want victim %q", ev.Peer, c.nodes[victim].Addr())
 	}

@@ -7,52 +7,36 @@ import (
 	"clash/internal/overlay"
 )
 
-// tracesCapacity bounds the sample ring served by /traces/sample.
-const tracesCapacity = 256
-
-// spansCapacity bounds the hop-span ring served by /traces/spans. Spans are
-// smaller and more numerous than trace records (one sampled publish yields a
-// handful across its path), so the ring is deeper.
+// spansCapacity bounds the hop-span ring served by /traces/spans (one
+// sampled publish yields a handful of spans across its path).
 const spansCapacity = 2048
 
-// Traces stores sampled request traces: a bounded ring of the most recent
-// TraceRecords plus per-stage latency histograms. It implements
-// overlay.Observer (events are ignored) so it can also be installed
-// standalone — clashload attaches one directly to its in-process nodes to
-// report a per-stage latency summary without running a hub.
+// Traces stores the hop spans of sampled publishes: a bounded ring of the
+// most recent spans plus per-stage latency histograms derived from them
+// (Span.Stage). It implements overlay.Observer (events are ignored) so it can
+// also be installed standalone — clashload attaches one directly to its
+// in-process nodes to report a per-stage latency summary without running a
+// hub.
 type Traces struct {
 	// hist is the Prometheus view of the per-stage latencies (seconds);
 	// absent when constructed without a registry.
-	hist   metrics.HistogramVec
-	bound  bool
+	hist  metrics.HistogramVec
+	bound bool
+
 	mu     sync.Mutex
-	ring   []overlay.TraceRecord
+	stages map[string]*metrics.LatencyHist
+	ring   []overlay.Span
 	next   int
 	full   bool
 	count  uint64
-	stages map[string]*metrics.LatencyHist
-
-	// Hop spans live in their own ring under their own lock: span traffic
-	// (several per sampled publish, pushed from async delivery goroutines)
-	// must not contend with trace-record reads.
-	spanMu    sync.Mutex
-	spanRing  []overlay.Span
-	spanNext  int
-	spanFull  bool
-	spanCount uint64
 }
 
-// NewTraces creates a trace store keeping the last capacity records
-// (<= 0 selects the default). With a non-nil registry, stage observations
-// also feed the clash_trace_stage_seconds histogram family.
-func NewTraces(capacity int, reg *metrics.Registry) *Traces {
-	if capacity <= 0 {
-		capacity = tracesCapacity
-	}
+// NewTraces creates an empty trace store. With a non-nil registry, the
+// stage latencies also feed the clash_trace_stage_seconds histogram family.
+func NewTraces(reg *metrics.Registry) *Traces {
 	t := &Traces{
-		ring:     make([]overlay.TraceRecord, capacity),
-		stages:   make(map[string]*metrics.LatencyHist),
-		spanRing: make([]overlay.Span, spansCapacity),
+		stages: make(map[string]*metrics.LatencyHist),
+		ring:   make([]overlay.Span, spansCapacity),
 	}
 	if reg != nil {
 		t.hist = reg.HistogramVec("clash_trace_stage_seconds",
@@ -66,45 +50,35 @@ func NewTraces(capacity int, reg *metrics.Registry) *Traces {
 // OnEvent implements overlay.Observer; Traces ignores protocol events.
 func (t *Traces) OnEvent(overlay.Event) {}
 
-// OnTrace stores one completed trace record.
-func (t *Traces) OnTrace(rec overlay.TraceRecord) {
+// OnSpan stores one hop span of a sampled publish's cross-node path and,
+// when the span maps to a stage, records its latency: the handler time, or
+// the network round trip for a subscriber push.
+func (t *Traces) OnSpan(sp overlay.Span) {
+	stage := sp.Stage()
+	micros := sp.HandlerMicros
+	if sp.Kind == overlay.HopDeliver {
+		micros = sp.NetworkMicros
+	}
 	t.mu.Lock()
-	t.ring[t.next] = rec
+	t.ring[t.next] = sp
 	t.next++
 	if t.next == len(t.ring) {
 		t.next = 0
 		t.full = true
 	}
 	t.count++
-	t.mu.Unlock()
-}
-
-// OnTraceStage records one stage observation (microseconds).
-func (t *Traces) OnTraceStage(stage string, micros int64) {
-	t.mu.Lock()
-	h := t.stages[stage]
-	if h == nil {
-		h = metrics.NewLatencyHist()
-		t.stages[stage] = h
+	if stage != "" {
+		h := t.stages[stage]
+		if h == nil {
+			h = metrics.NewLatencyHist()
+			t.stages[stage] = h
+		}
+		h.Record(micros)
 	}
-	h.Record(micros)
 	t.mu.Unlock()
-	if t.bound {
+	if stage != "" && t.bound {
 		t.hist.With(stage).Observe(float64(micros) / 1e6)
 	}
-}
-
-// OnSpan stores one hop span of a sampled publish's cross-node path.
-func (t *Traces) OnSpan(sp overlay.Span) {
-	t.spanMu.Lock()
-	t.spanRing[t.spanNext] = sp
-	t.spanNext++
-	if t.spanNext == len(t.spanRing) {
-		t.spanNext = 0
-		t.spanFull = true
-	}
-	t.spanCount++
-	t.spanMu.Unlock()
 }
 
 // SpanSample is the /traces/spans document: this node's retained hop spans,
@@ -121,22 +95,22 @@ type SpanSample struct {
 // spans return, in recording order (the order a tree assembler wants);
 // unfiltered, up to limit spans return newest first (<= 0: all retained).
 func (t *Traces) Spans(traceID uint64, limit int) SpanSample {
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	n := t.spanNext
-	if t.spanFull {
-		n = len(t.spanRing)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.next
+	if t.full {
+		n = len(t.ring)
 	}
-	s := SpanSample{Count: t.spanCount, TraceID: traceID}
+	s := SpanSample{Count: t.count, TraceID: traceID}
 	if traceID != 0 {
 		// Oldest first: start at the oldest retained write.
 		for i := 0; i < n; i++ {
 			idx := i
-			if t.spanFull {
-				idx = (t.spanNext + i) % len(t.spanRing)
+			if t.full {
+				idx = (t.next + i) % len(t.ring)
 			}
-			if t.spanRing[idx].TraceID == traceID {
-				s.Spans = append(s.Spans, t.spanRing[idx])
+			if t.ring[idx].TraceID == traceID {
+				s.Spans = append(s.Spans, t.ring[idx])
 			}
 		}
 		return s
@@ -146,55 +120,17 @@ func (t *Traces) Spans(traceID uint64, limit int) SpanSample {
 	}
 	s.Spans = make([]overlay.Span, 0, limit)
 	for i := 0; i < limit; i++ {
-		idx := (t.spanNext - 1 - i + len(t.spanRing)) % len(t.spanRing)
-		s.Spans = append(s.Spans, t.spanRing[idx])
+		idx := (t.next - 1 - i + len(t.ring)) % len(t.ring)
+		s.Spans = append(s.Spans, t.ring[idx])
 	}
 	return s
 }
 
 // SpanCount returns the total number of spans observed.
 func (t *Traces) SpanCount() uint64 {
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	return t.spanCount
-}
-
-// TraceSample is the /traces/sample document: per-stage latency summaries
-// (microseconds) and the most recent records, newest first.
-type TraceSample struct {
-	// Count is the total number of trace records observed (not just retained).
-	Count uint64 `json:"count"`
-	// Stages maps stage name to its latency summary in microseconds.
-	Stages map[string]metrics.Summary `json:"stages"`
-	Recent []overlay.TraceRecord      `json:"recent"`
-}
-
-// Sample snapshots the store: stage summaries plus up to limit recent
-// records, newest first (<= 0 returns all retained records).
-func (t *Traces) Sample(limit int) TraceSample {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.next
-	if t.full {
-		n = len(t.ring)
-	}
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	s := TraceSample{
-		Count:  t.count,
-		Stages: make(map[string]metrics.Summary, len(t.stages)),
-		Recent: make([]overlay.TraceRecord, 0, limit),
-	}
-	for stage, h := range t.stages {
-		s.Stages[stage] = h.Summary()
-	}
-	// Walk backwards from the most recent write.
-	for i := 0; i < limit; i++ {
-		idx := (t.next - 1 - i + len(t.ring)) % len(t.ring)
-		s.Recent = append(s.Recent, t.ring[idx])
-	}
-	return s
+	return t.count
 }
 
 // StageSummaries returns the per-stage latency summaries (microseconds).
@@ -206,11 +142,4 @@ func (t *Traces) StageSummaries() map[string]metrics.Summary {
 		out[stage] = h.Summary()
 	}
 	return out
-}
-
-// Count returns the total number of trace records observed.
-func (t *Traces) Count() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
 }

@@ -1,103 +1,13 @@
 // Package metrics provides the lightweight measurement primitives used by the
-// live overlay's status reporting, the experiment harness and the planned
-// simulator: time series sampled on the
-// simulation clock, summary statistics, and integer histograms (for the
-// workload key-frequency plots of Figure 3).
+// live overlay, the experiment harness and the simulator: summary
+// statistics, integer histograms (for the workload key-frequency plots of
+// Figure 3), HDR-style latency histograms and the Prometheus registry.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
-
-// Point is one (time, value) sample. Time is in seconds of simulated time.
-type Point struct {
-	Time  float64 `json:"t"`
-	Value float64 `json:"v"`
-}
-
-// TimeSeries is an append-only series of samples.
-type TimeSeries struct {
-	Name   string  `json:"name"`
-	Points []Point `json:"points"`
-}
-
-// NewTimeSeries creates a named, empty series.
-func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{Name: name} }
-
-// Append adds a sample at the given time.
-func (ts *TimeSeries) Append(t, v float64) {
-	ts.Points = append(ts.Points, Point{Time: t, Value: v})
-}
-
-// Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.Points) }
-
-// Last returns the most recent sample (zero Point when empty).
-func (ts *TimeSeries) Last() Point {
-	if len(ts.Points) == 0 {
-		return Point{}
-	}
-	return ts.Points[len(ts.Points)-1]
-}
-
-// Max returns the maximum value in the series (0 when empty).
-func (ts *TimeSeries) Max() float64 {
-	maxV := math.Inf(-1)
-	for _, p := range ts.Points {
-		if p.Value > maxV {
-			maxV = p.Value
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return 0
-	}
-	return maxV
-}
-
-// Mean returns the mean value of the series (0 when empty).
-func (ts *TimeSeries) Mean() float64 {
-	if len(ts.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range ts.Points {
-		sum += p.Value
-	}
-	return sum / float64(len(ts.Points))
-}
-
-// MeanOver returns the mean of samples with Time in [from, to) (0 if none).
-func (ts *TimeSeries) MeanOver(from, to float64) float64 {
-	var sum float64
-	n := 0
-	for _, p := range ts.Points {
-		if p.Time >= from && p.Time < to {
-			sum += p.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// MaxOver returns the maximum of samples with Time in [from, to) (0 if none).
-func (ts *TimeSeries) MaxOver(from, to float64) float64 {
-	maxV := math.Inf(-1)
-	for _, p := range ts.Points {
-		if p.Time >= from && p.Time < to && p.Value > maxV {
-			maxV = p.Value
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return 0
-	}
-	return maxV
-}
 
 // Summary holds descriptive statistics of a sample set.
 type Summary struct {
@@ -212,33 +122,4 @@ func (h *IntHistogram) SkewRatio() float64 {
 	mean := float64(total) / float64(len(h.buckets))
 	_, maxC := h.MaxBucket()
 	return float64(maxC) / mean
-}
-
-// Table renders series as aligned text columns: one row per sample time of
-// the first series, one column per series. It is the rendering the planned
-// simulator harness will use to print the paper's figures as text.
-func Table(header string, series ...*TimeSeries) string {
-	var b strings.Builder
-	b.WriteString(header)
-	b.WriteByte('\n')
-	b.WriteString(fmt.Sprintf("%-12s", "time"))
-	for _, s := range series {
-		b.WriteString(fmt.Sprintf("%-18s", s.Name))
-	}
-	b.WriteByte('\n')
-	if len(series) == 0 || series[0].Len() == 0 {
-		return b.String()
-	}
-	for i, p := range series[0].Points {
-		b.WriteString(fmt.Sprintf("%-12.1f", p.Time))
-		for _, s := range series {
-			if i < len(s.Points) {
-				b.WriteString(fmt.Sprintf("%-18.3f", s.Points[i].Value))
-			} else {
-				b.WriteString(fmt.Sprintf("%-18s", "-"))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

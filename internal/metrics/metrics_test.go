@@ -2,51 +2,9 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestTimeSeriesBasics(t *testing.T) {
-	ts := NewTimeSeries("load")
-	if ts.Len() != 0 || ts.Max() != 0 || ts.Mean() != 0 {
-		t.Error("empty series should report zeros")
-	}
-	if got := ts.Last(); got != (Point{}) {
-		t.Errorf("Last on empty = %+v", got)
-	}
-	ts.Append(0, 1)
-	ts.Append(60, 3)
-	ts.Append(120, 2)
-	if ts.Len() != 3 {
-		t.Errorf("Len = %d", ts.Len())
-	}
-	if got := ts.Last(); got.Time != 120 || got.Value != 2 {
-		t.Errorf("Last = %+v", got)
-	}
-	if ts.Max() != 3 {
-		t.Errorf("Max = %g", ts.Max())
-	}
-	if ts.Mean() != 2 {
-		t.Errorf("Mean = %g", ts.Mean())
-	}
-}
-
-func TestTimeSeriesWindows(t *testing.T) {
-	ts := NewTimeSeries("x")
-	for i := 0; i < 10; i++ {
-		ts.Append(float64(i*10), float64(i))
-	}
-	if got := ts.MeanOver(0, 50); got != 2 {
-		t.Errorf("MeanOver(0,50) = %g, want 2", got)
-	}
-	if got := ts.MaxOver(50, 100); got != 9 {
-		t.Errorf("MaxOver(50,100) = %g, want 9", got)
-	}
-	if got := ts.MeanOver(1000, 2000); got != 0 {
-		t.Errorf("MeanOver outside range = %g, want 0", got)
-	}
-}
 
 func TestSummarize(t *testing.T) {
 	if got := Summarize(nil); got.Count != 0 {
@@ -105,28 +63,6 @@ func TestIntHistogram(t *testing.T) {
 	empty := NewIntHistogram("e", 3)
 	if empty.SkewRatio() != 0 {
 		t.Error("empty histogram skew should be 0")
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	a := NewTimeSeries("clash")
-	b := NewTimeSeries("dht6")
-	a.Append(0, 0.5)
-	a.Append(60, 0.6)
-	b.Append(0, 1.5)
-	out := Table("Figure 4a", a, b)
-	if !strings.Contains(out, "Figure 4a") || !strings.Contains(out, "clash") || !strings.Contains(out, "dht6") {
-		t.Errorf("missing headers in:\n%s", out)
-	}
-	if !strings.Contains(out, "0.600") {
-		t.Errorf("missing value in:\n%s", out)
-	}
-	// Second series is shorter: the missing cell renders as "-".
-	if !strings.Contains(out, "-") {
-		t.Errorf("missing placeholder in:\n%s", out)
-	}
-	if got := Table("empty"); !strings.Contains(got, "time") {
-		t.Errorf("empty table malformed: %q", got)
 	}
 }
 

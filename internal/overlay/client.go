@@ -91,8 +91,9 @@ func (c *Client) SetClock(clk clock.Clock) { c.clk = clk }
 
 // SetTraceEvery samples every Nth delivered object for request tracing: the
 // sampled object carries a non-zero trace ID in its ACCEPT_OBJECT frames, and
-// every server on its path records per-stage timings under the ID (surfaced
-// by the hub's /traces/sample). n <= 0 disables sampling (the default).
+// every server on its path records a hop span under the ID (surfaced by the
+// hub's /traces/spans, and as per-stage latencies in its /metrics
+// clash_trace_stage_seconds). n <= 0 disables sampling (the default).
 func (c *Client) SetTraceEvery(n int) { c.traceEvery.Store(int64(n)) }
 
 // nextTraceID draws the trace ID for one delivered object: zero (untraced)

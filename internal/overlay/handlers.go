@@ -259,7 +259,6 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 		if obs != nil {
 			// A redirected probe is a split-resolution hop of the modified
 			// binary search: its state-machine time is the resolve stage.
-			obs.OnTraceStage(TraceStageResolve, routeMicros)
 			if spanKind == HopRouteForward {
 				spanKind = HopResolve
 			}
@@ -269,7 +268,7 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 				Parent:        req.ParentSpan,
 				Hop:           req.Hop,
 				Kind:          spanKind,
-				Detail:        "dmin=" + strconv.Itoa(res.DMin),
+				Detail:        dminDetail + strconv.Itoa(res.DMin),
 				CodecMicros:   codecMicros,
 				HandlerMicros: routeMicros,
 			})
@@ -290,7 +289,6 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 	}
 
 	registered := false
-	var matchMicros int64
 	switch req.Kind {
 	case core.ObjectData:
 		n.meter.RecordPackets(res.Group.String(), 1)
@@ -302,6 +300,7 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 		}
 		ev := cq.Event{Key: key, Attrs: data.Attrs, Payload: data.Payload}
 		var matchStart time.Time
+		var matchMicros int64
 		if obs != nil {
 			matchStart = n.cfg.Clock.Now()
 		}
@@ -352,24 +351,6 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 			n.mu.Unlock()
 		}
 	}
-	if obs != nil {
-		rec := TraceRecord{
-			TraceID: req.TraceID,
-			TimeMs:  n.cfg.Clock.Now().UnixMilli(),
-			Node:    n.Addr(),
-			Key:     key.String(),
-			Group:   res.Group.String(),
-			Status:  int(res.Status),
-			Matches: len(reply.Matches),
-			Stages:  []TraceStage{{Stage: TraceStageRoute, Micros: routeMicros}},
-		}
-		obs.OnTraceStage(TraceStageRoute, routeMicros)
-		if req.Kind == core.ObjectData {
-			rec.Stages = append(rec.Stages, TraceStage{Stage: TraceStageMatch, Micros: matchMicros})
-			obs.OnTraceStage(TraceStageMatch, matchMicros)
-		}
-		obs.OnTrace(rec)
-	}
 	return reply, registered, nil
 }
 
@@ -380,12 +361,12 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 // sorts by query ID), so a deterministic transport sees a deterministic
 // message sequence.
 // tc, when it carries a non-zero TraceID, marks the originating publish as
-// sampled: each delivery's round trip is reported as a deliver-stage
-// observation plus a subscriber-deliver span chained under tc.Parent (the
-// cq-match span). The span is recorded by this (sending) node — subscribers
-// are client endpoints, not overlay nodes — with the push's queue wait and
-// network round trip; the matchMsg still carries the trace context so the
-// subscriber can correlate the notification with its publish.
+// sampled: each delivery's round trip is reported as a subscriber-deliver
+// span chained under tc.Parent (the cq-match span). The span is recorded by
+// this (sending) node — subscribers are client endpoints, not overlay nodes —
+// with the push's queue wait and network round trip; the matchMsg still
+// carries the trace context so the subscriber can correlate the notification
+// with its publish.
 func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 	if len(matched) == 0 {
 		return
@@ -435,13 +416,12 @@ func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 				atomic.AddInt64(&n.matchDrops, 1)
 			}
 			if tc.TraceID != 0 && obs != nil {
-				rtt := n.cfg.Clock.Now().Sub(start).Microseconds()
-				obs.OnTraceStage(TraceStageDeliver, rtt)
 				if spanID == 0 {
 					// The observer appeared between enqueue and delivery; no
 					// span ID (or queue stamp) was drawn, so skip the span.
 					return
 				}
+				rtt := n.cfg.Clock.Now().Sub(start).Microseconds()
 				n.emitSpan(obs, Span{
 					TraceID:       tc.TraceID,
 					SpanID:        spanID,

@@ -15,7 +15,6 @@ import (
 	"clash/internal/core"
 	"clash/internal/cq"
 	"clash/internal/load"
-	"clash/internal/metrics"
 )
 
 // Config parameterises an overlay node. The zero value is completed with
@@ -137,8 +136,6 @@ type Node struct {
 	server *core.Server
 	engine *cq.Engine
 	meter  *load.Meter
-	series *metrics.Set
-	start  time.Time
 
 	// obs is the installed control-plane observer (SetObserver); draining
 	// marks the node in admin drain mode (Drain/Undrain).
@@ -210,8 +207,6 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		server:      server,
 		engine:      engine,
 		meter:       load.NewMeterClock(cfg.LoadCheckInterval.Seconds(), cfg.Clock.Now),
-		series:      metrics.NewSet(),
-		start:       cfg.Clock.Now(),
 		subscribers: make(map[string]string),
 		pending:     make(map[string]pendingTransfer),
 		replicas:    make(map[string]*replicaSet),
@@ -253,12 +248,8 @@ func (n *Node) Server() *core.Server { return n.server }
 // Engine exposes the continuous-query engine.
 func (n *Node) Engine() *cq.Engine { return n.engine }
 
-// Series exposes the node's metrics set.
-func (n *Node) Series() *metrics.Set { return n.series }
-
 // Successors returns the node's current chord successor list (nearest first);
-// a lightweight accessor for ring-convergence checks (the full Status
-// snapshot copies the metrics series too).
+// a lightweight accessor for ring-convergence checks.
 func (n *Node) Successors() []chord.NodeRef { return n.chord.Successors() }
 
 // Predecessor returns the node's current chord predecessor (zero when
@@ -269,9 +260,9 @@ func (n *Node) Predecessor() chord.NodeRef { return n.chord.PredecessorRef() }
 // deliver to their subscribers.
 func (n *Node) MatchDrops() int64 { return atomic.LoadInt64(&n.matchDrops) }
 
-// replicaCounts returns how many peer replica sets this node holds and the
+// ReplicaCounts returns how many peer replica sets this node holds and the
 // total key groups across them.
-func (n *Node) replicaCounts() (origins, groups int) {
+func (n *Node) ReplicaCounts() (origins, groups int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, set := range n.replicas {
@@ -453,8 +444,8 @@ func (n *Node) mapGroup(vk bitkey.Key) (core.ServerID, error) {
 // reconciles group ownership with the current ring, converts the meter's
 // samples into per-group loads, splits the hottest group when overloaded
 // (with a real ACCEPT_KEYGROUP transfer), sends load reports to parents,
-// consolidates cold sibling pairs, re-pushes the node's key-group replicas to
-// its successors, and records the metrics series.
+// consolidates cold sibling pairs, and re-pushes the node's key-group
+// replicas to its successors.
 func (n *Node) LoadCheck(now time.Time) {
 	n.recoverFromReplicas()
 	n.retryPending()
@@ -473,17 +464,13 @@ func (n *Node) LoadCheck(now time.Time) {
 	for _, g := range n.server.ActiveGroups() {
 		_ = n.server.SetGroupLoad(g, n.cfg.Model.Load(samples[g.String()]))
 	}
-	ranked := load.Rank(n.cfg.Model, samples)
-	total := n.server.TotalLoad()
-
-	if !n.draining.Load() && n.cfg.Thresholds.IsOverloaded(total) {
+	if !n.draining.Load() && n.cfg.Thresholds.IsOverloaded(n.server.TotalLoad()) {
 		n.trySplit()
 	}
 	n.sendLoadReports()
 	n.tryMerge(now)
 	n.gcReplicas()
 	n.replicate()
-	n.record(now, total, ranked)
 }
 
 // splitRetryBudget bounds how often a split re-extends a self-mapped right
@@ -970,42 +957,4 @@ func verdictString(s chord.PeerState) string {
 	default:
 		return "ok"
 	}
-}
-
-// record appends this period's samples to the metrics series: total load,
-// hottest-group load from the ranking, table/engine sizes and the cumulative
-// protocol counters.
-func (n *Node) record(now time.Time, total float64, ranked []load.GroupLoad) {
-	t := now.Sub(n.start).Seconds()
-	n.series.Observe("load.total", t, total)
-	if len(ranked) > 0 {
-		n.series.Observe("load.hottest", t, ranked[0].Load)
-	}
-	n.series.Observe("groups.active", t, float64(len(n.server.ActiveGroups())))
-	n.series.Observe("queries.stored", t, float64(n.engine.Len()))
-	ctr := n.server.Counters()
-	n.series.Observe("counter.splits", t, float64(ctr.Splits))
-	n.series.Observe("counter.merges", t, float64(ctr.Merges))
-	n.series.Observe("counter.groups_accepted", t, float64(ctr.GroupsAccepted))
-	n.series.Observe("counter.groups_released", t, float64(ctr.GroupsReleased))
-	n.series.Observe("counter.groups_recovered", t, float64(ctr.GroupsRecovered))
-	n.series.Observe("counter.transfer_drops", t, float64(atomic.LoadInt64(&n.transferDrops)))
-	origins, repGroups := n.replicaCounts()
-	n.series.Observe("replicas.origins", t, float64(origins))
-	n.series.Observe("replicas.groups", t, float64(repGroups))
-	n.series.Observe("counter.objects_ok", t, float64(ctr.ObjectsOK))
-	n.series.Observe("counter.objects_corrected", t, float64(ctr.ObjectsCorrect))
-	n.series.Observe("counter.objects_wrong", t, float64(ctr.ObjectsWrong))
-	ts := n.tr.Stats()
-	n.series.Observe("net.frames_in", t, float64(ts.FramesIn))
-	n.series.Observe("net.frames_out", t, float64(ts.FramesOut))
-	n.series.Observe("net.bytes_in", t, float64(ts.BytesIn))
-	n.series.Observe("net.bytes_out", t, float64(ts.BytesOut))
-	n.series.Observe("net.in_flight", t, float64(ts.InFlight))
-	n.series.Observe("net.reconnects", t, float64(ts.Reconnects))
-	n.series.Observe("net.oversized_drops", t, float64(ts.OversizedDrops))
-	n.series.Observe("net.timeouts", t, float64(ts.Timeouts))
-	n.series.Observe("net.retries", t, float64(ts.Retries))
-	n.series.Observe("net.shed", t, float64(ts.Shed))
-	n.series.Observe("suspicion.peers", t, float64(len(n.susp.snapshot())))
 }

@@ -1,11 +1,15 @@
 package overlay
 
-import "sync/atomic"
+import (
+	"strings"
+	"sync/atomic"
+)
 
 // Control-plane observation: a Node reports protocol events (splits, merges,
-// recoveries, ring changes, suspicion verdicts) and request-trace timings to
-// an installed Observer. The hub (internal/hub) implements Observer and fans
-// the stream out to /events subscribers and the trace store; the simulator
+// recoveries, ring changes, suspicion verdicts) and the hop spans of sampled
+// publishes to an installed Observer. The hub (internal/hub) implements
+// Observer and fans the stream out to /events subscribers and the span store
+// (which also derives the per-stage latency histograms); the simulator
 // installs a counting observer to assert event/counter consistency. With no
 // observer installed (the default) every emit site is a nil check — the data
 // and maintenance paths pay nothing.
@@ -42,28 +46,6 @@ type Event struct {
 	Peer string `json:"peer,omitempty"`
 	// Detail is a human-readable supplement (counts, verdicts, targets).
 	Detail string `json:"detail,omitempty"`
-}
-
-// Trace stages recorded along a sampled publish path, in path order.
-const (
-	// TraceStageRoute is the server state-machine time for an ACCEPT_OBJECT
-	// probe that landed (OK / OK_CORRECTED).
-	TraceStageRoute = "route"
-	// TraceStageResolve is the state-machine time of a probe answered
-	// INCORRECT_DEPTH — the split-resolution hops of the modified binary
-	// search.
-	TraceStageResolve = "resolve"
-	// TraceStageMatch is the continuous-query engine match time for a data
-	// packet.
-	TraceStageMatch = "match"
-	// TraceStageDeliver is the round trip of one match push to a subscriber.
-	TraceStageDeliver = "deliver"
-)
-
-// TraceStage is one timed stage of a sampled request.
-type TraceStage struct {
-	Stage  string `json:"stage"`
-	Micros int64  `json:"micros"`
 }
 
 // Hop kinds recorded in spans along a sampled publish's cross-node path.
@@ -116,6 +98,35 @@ type Span struct {
 	NetworkMicros int64  `json:"networkMicros"`
 }
 
+// dminDetail prefixes the Detail of a probe answered INCORRECT_DEPTH; Stage
+// reads it back to tell a redirected ingress probe from a landed one.
+const dminDetail = "dmin="
+
+// Stage names the per-stage latency histogram the span feeds, in path
+// order: "route" for a landed ingress or route-forward probe, "resolve" for
+// every probe answered INCORRECT_DEPTH (ingress included) — the
+// split-resolution hops of the modified binary search — "match" for the
+// continuous-query engine match and "deliver" for a subscriber push. Other
+// kinds (replica pushes) feed no stage and return "".
+func (sp Span) Stage() string {
+	switch sp.Kind {
+	case HopIngress:
+		if strings.HasPrefix(sp.Detail, dminDetail) {
+			return "resolve"
+		}
+		return "route"
+	case HopRouteForward:
+		return "route"
+	case HopResolve:
+		return "resolve"
+	case HopCQMatch:
+		return "match"
+	case HopDeliver:
+		return "deliver"
+	}
+	return ""
+}
+
 // spanRef is the in-process trace context a handler threads to the side
 // effects it triggers (match pushes, replica pushes): which trace, which
 // parent span, and the next hop count.
@@ -125,35 +136,12 @@ type spanRef struct {
 	Hop     int
 }
 
-// TraceRecord is the server-side record of one sampled ACCEPT_OBJECT: where
-// it landed and how long each stage took. Stages along the path of one
-// object on one node; the per-stage histograms aggregate across records.
-type TraceRecord struct {
-	TraceID uint64 `json:"traceId"`
-	TimeMs  int64  `json:"timeMs"`
-	Node    string `json:"node"`
-	Key     string `json:"key"`
-	Group   string `json:"group,omitempty"`
-	// Status is the numeric accept status (core.StatusOK etc.).
-	Status int `json:"status"`
-	// Matches is how many continuous queries a data packet matched.
-	Matches int          `json:"matches,omitempty"`
-	Stages  []TraceStage `json:"stages"`
-}
-
-// Observer receives a node's event stream and trace records. Implementations
+// Observer receives a node's event stream and hop spans. Implementations
 // must be safe for concurrent use and must not block: emit sites sit on the
 // data path and inside maintenance passes.
 type Observer interface {
 	// OnEvent receives one protocol event.
 	OnEvent(Event)
-	// OnTrace receives the completed record of one sampled request.
-	OnTrace(TraceRecord)
-	// OnTraceStage receives one stage observation (also contained in trace
-	// records; reported separately so per-stage histograms don't require
-	// record parsing, and for async stages like deliver that complete after
-	// the record was cut).
-	OnTraceStage(stage string, micros int64)
 	// OnSpan receives one hop span of a sampled publish's cross-node path.
 	OnSpan(Span)
 }

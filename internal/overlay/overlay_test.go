@@ -264,13 +264,24 @@ func TestOverlayEndToEnd(t *testing.T) {
 		t.Errorf("matches after merge = %v, want [q-hot]", res.Matches)
 	}
 
-	// The status snapshot reflects the run.
+	// The status snapshots reflect the run: their counters add up to the
+	// cluster's splits and merges, and the transport carried frames.
 	st := nodes[0].Status()
 	if st.Addr != nodes[0].Addr() || len(st.Successors) == 0 {
 		t.Errorf("bad status: %+v", st)
 	}
-	if len(st.Series) == 0 {
-		t.Error("status carries no metrics series")
+	if st.Transport.FramesIn == 0 || st.Transport.FramesOut == 0 {
+		t.Errorf("status transport counters empty: %+v", st.Transport)
+	}
+	var statusSplits, statusMerges int
+	for _, node := range nodes {
+		c := node.Status().Counters
+		statusSplits += c.Splits
+		statusMerges += c.Merges
+	}
+	if statusSplits != final.Splits || statusMerges != final.Merges {
+		t.Errorf("status counters splits=%d merges=%d, want %d/%d",
+			statusSplits, statusMerges, final.Splits, final.Merges)
 	}
 }
 

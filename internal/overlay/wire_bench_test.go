@@ -53,18 +53,6 @@ func BenchmarkWireCodecMarshal(b *testing.B) {
 	_ = buf
 }
 
-// BenchmarkJSONCodecMarshal is the retained PR 2 baseline (legacy_json.go).
-func BenchmarkJSONCodecMarshal(b *testing.B) {
-	msg := benchAcceptObject()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := legacyJSONMarshal(&msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWireCodecUnmarshal(b *testing.B) {
 	msg := benchAcceptObject()
 	data := msg.MarshalWire(nil)
@@ -73,22 +61,6 @@ func BenchmarkWireCodecUnmarshal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var got core.AcceptObjectMsg
 		if err := got.UnmarshalWire(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkJSONCodecUnmarshal(b *testing.B) {
-	msg := benchAcceptObject()
-	data, err := legacyJSONMarshal(&msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var got core.AcceptObjectMsg
-		if err := legacyJSONUnmarshal(data, &got); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,17 +78,6 @@ func BenchmarkWireCodecReplyMarshal(b *testing.B) {
 	_ = buf
 }
 
-func BenchmarkJSONCodecReplyMarshal(b *testing.B) {
-	msg := benchReply()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := legacyJSONMarshal(&msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWireCodecBatchMarshal64(b *testing.B) {
 	msg := benchBatch(64)
 	buf := wirecodec.GetBuf()
@@ -127,17 +88,6 @@ func BenchmarkWireCodecBatchMarshal64(b *testing.B) {
 		buf = msg.MarshalWire(buf[:0])
 	}
 	_ = buf
-}
-
-func BenchmarkJSONCodecBatchMarshal64(b *testing.B) {
-	msg := benchBatch(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := legacyJSONMarshal(&msg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkWireFrameEncode measures framing alone (header + payload copy into

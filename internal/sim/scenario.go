@@ -271,9 +271,7 @@ type Result struct {
 // deployment): it counts protocol events by type across every node, so the
 // scenario assertions can cross-check the event stream against the protocol
 // counters, and collects every hop span the traced publishes emit so the
-// span-completeness invariant can be checked at the end of the run. Trace
-// records and stage timings are ignored — the virtual clock makes every
-// in-node stage zero.
+// span-completeness invariant can be checked at the end of the run.
 type eventCounter struct {
 	mu     sync.Mutex
 	counts map[string]int
@@ -289,10 +287,6 @@ func (c *eventCounter) OnEvent(ev overlay.Event) {
 	c.counts[ev.Type]++
 	c.mu.Unlock()
 }
-
-func (c *eventCounter) OnTrace(overlay.TraceRecord) {}
-
-func (c *eventCounter) OnTraceStage(string, int64) {}
 
 // OnSpan retains every hop span in emission order. The simulation is
 // single-threaded (InlineMatchPush), so the order — and with it the whole
