@@ -3,10 +3,6 @@
 // matching and DHT ring lookup — and writes a machine-readable snapshot
 // (BENCH_routing.json by default) so every perf PR has a trajectory to beat.
 //
-// The trie-backed paths are benchmarked side by side with the frozen pre-trie
-// map-probing baselines (core.LegacyRouter, core.LegacyTable); the snapshot
-// records the resulting speedups.
-//
 // Usage:
 //
 //	go run ./cmd/clashbench -keys 1000000 -groups 1000 -out BENCH_routing.json
@@ -55,11 +51,10 @@ type result struct {
 }
 
 type snapshot struct {
-	Config     config             `json:"config"`
-	GoVersion  string             `json:"go_version"`
-	Benchmarks []result           `json:"benchmarks"`
-	Speedups   map[string]float64 `json:"speedups"`
-	Scaling    *scalingCurve      `json:"scaling,omitempty"`
+	Config     config        `json:"config"`
+	GoVersion  string        `json:"go_version"`
+	Benchmarks []result      `json:"benchmarks"`
+	Scaling    *scalingCurve `json:"scaling,omitempty"`
 }
 
 // scalingPoint is one core count's measurement of the parallel ACCEPT_OBJECT
@@ -212,8 +207,8 @@ func main() {
 	partition := benchutil.PrefixFreeGroups(rng, cfg.KeyBits, cfg.Groups)
 	workload := benchutil.RandomKeys(rng, cfg.KeyBits, cfg.Keys)
 
-	snap := snapshot{Config: cfg, GoVersion: runtime.Version(), Speedups: map[string]float64{}}
-	run := func(name string, fn func(b *testing.B)) result {
+	snap := snapshot{Config: cfg, GoVersion: runtime.Version()}
+	run := func(name string, fn func(b *testing.B)) {
 		r := testing.Benchmark(fn)
 		res := result{
 			Name:        name,
@@ -224,63 +219,37 @@ func main() {
 		}
 		log.Printf("%-28s %12.1f ns/op %6d allocs/op %10d iters", name, res.NsPerOp, res.AllocsPerOp, res.Iterations)
 		snap.Benchmarks = append(snap.Benchmarks, res)
-		return res
-	}
-	speedup := func(metric string, legacy, trie result) {
-		if trie.NsPerOp > 0 {
-			snap.Speedups[metric] = legacy.NsPerOp / trie.NsPerOp
-		}
 	}
 
-	// Client cache: trie router vs. legacy per-depth map probing.
+	// Client cache: trie router.
 	router := core.NewRouter(cfg.KeyBits)
-	legacyRouter := core.NewLegacyRouter(cfg.KeyBits)
 	for i, g := range partition {
-		id := core.ServerID(fmt.Sprintf("s%03d", i%257))
-		router.Learn(g, id)
-		legacyRouter.Learn(g, id)
+		router.Learn(g, core.ServerID(fmt.Sprintf("s%03d", i%257)))
 	}
-	routeTrie := run("route/trie", func(b *testing.B) {
+	run("route/trie", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			router.Route(workload[i%len(workload)])
 		}
 	})
-	routeLegacy := run("route/legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			legacyRouter.Route(workload[i%len(workload)])
-		}
-	})
-	speedup("route", routeLegacy, routeTrie)
 
-	// Server Work Table: trie-backed lookup (through the server mutex, as in
-	// production) vs. the legacy lock-free map probing — a handicap the trie
-	// path wins under anyway.
+	// Server Work Table: trie-backed lookup through the server, as in
+	// production.
 	server, err := core.NewServer("bench", cfg.KeyBits)
 	if err != nil {
 		log.Fatal(err)
 	}
-	legacyTable := core.NewLegacyTable(cfg.KeyBits)
 	for _, g := range partition {
 		if err := server.HandleAcceptKeyGroup(g, "seed"); err != nil {
 			log.Fatal(err)
 		}
-		legacyTable.Put(&core.Entry{Group: g, Active: true})
 	}
-	tableTrie := run("active_entry_for/trie", func(b *testing.B) {
+	run("active_entry_for/trie", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			server.ManagesKey(workload[i%len(workload)])
 		}
 	})
-	tableLegacy := run("active_entry_for/legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			legacyTable.ActiveEntryFor(workload[i%len(workload)])
-		}
-	})
-	speedup("active_entry_for", tableLegacy, tableTrie)
 
 	// Continuous-query matching over a trie region index.
 	engine, err := cq.NewEngine(cfg.KeyBits)
@@ -419,6 +388,5 @@ func main() {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %s (route %.0fx, active_entry_for %.0fx vs legacy)",
-		*out, snap.Speedups["route"], snap.Speedups["active_entry_for"])
+	log.Printf("wrote %s", *out)
 }

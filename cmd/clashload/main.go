@@ -255,7 +255,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	if inproc > 0 {
 		cfg.Mode = "inproc"
 		cfg.Nodes = inproc
-		netw := overlay.NewMemNetwork()
+		netw := overlay.NewMemNetwork(overlay.WallClock(), rand.New(rand.NewSource(randSeed)))
 		nodes, err = bootInproc(ctx, netw, inproc, keyBits, space, capacity, randSeed, replicas)
 		if err != nil {
 			return err
@@ -263,7 +263,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 		// Engage the link model after boot (the measurement run starts from
 		// a converged overlay; the simulator does the same).
 		if latency > 0 || loss > 0 {
-			if err := netw.SetLink(link.WAN(latency, loss), randSeed); err != nil {
+			if err := netw.SetLink(link.WAN(latency, loss)); err != nil {
 				return err
 			}
 		}

@@ -11,8 +11,7 @@ import (
 
 // The acceptance scenario for the routing perf work: 1k cached groups over
 // full-width (64-bit) keys. BenchmarkRoute/BenchmarkActiveEntryFor run the
-// trie paths; the *Legacy variants run the frozen pre-trie map-probing
-// baselines from legacy.go for comparison.
+// trie paths.
 const (
 	benchKeyBits = bitkey.MaxBits
 	benchGroups  = 1000
@@ -33,21 +32,6 @@ func benchServerID(i int) ServerID {
 func BenchmarkRoute(b *testing.B) {
 	groups, keys := benchWorkload()
 	r := NewRouter(benchKeyBits)
-	for i, g := range groups {
-		r.Learn(g, benchServerID(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := r.Route(keys[i%len(keys)]); !ok {
-			b.Fatal("miss on a complete partition")
-		}
-	}
-}
-
-func BenchmarkRouteLegacy(b *testing.B) {
-	groups, keys := benchWorkload()
-	r := NewLegacyRouter(benchKeyBits)
 	for i, g := range groups {
 		r.Learn(g, benchServerID(i))
 	}
@@ -102,21 +86,6 @@ func BenchmarkActiveEntryFor(b *testing.B) {
 	}
 }
 
-func BenchmarkActiveEntryForLegacy(b *testing.B) {
-	groups, keys := benchWorkload()
-	tab := NewLegacyTable(benchKeyBits)
-	for _, g := range groups {
-		tab.Put(&Entry{Group: g, Active: true})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := tab.ActiveEntryFor(keys[i%len(keys)]); !ok {
-			b.Fatal("miss on a complete partition")
-		}
-	}
-}
-
 func BenchmarkActiveEntryForParallel(b *testing.B) {
 	groups, keys := benchWorkload()
 	tab := benchTable(b, groups)
@@ -139,19 +108,6 @@ func BenchmarkLongestPrefixMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.longestPrefixMatch(keys[i%len(keys)])
-	}
-}
-
-func BenchmarkLongestPrefixMatchLegacy(b *testing.B) {
-	groups, keys := benchWorkload()
-	tab := NewLegacyTable(benchKeyBits)
-	for _, g := range groups {
-		tab.Put(&Entry{Group: g, Active: true})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.LongestPrefixMatch(keys[i%len(keys)])
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 // LegacyServer is the original single-mutex CLASH server: every operation —
 // including the ACCEPT_OBJECT hot path — funnels through one lock. It is kept
 // verbatim as the behavioural oracle for the sharded Server's parity property
-// tests and as the single-core baseline in clashbench's scaling curves, the
-// same role LegacyRouter and LegacyTable play for the trie structures. New
+// tests and as the single-core baseline in clashbench's scaling curves. New
 // code should use Server.
 type LegacyServer struct {
 	mu              sync.Mutex

@@ -2,11 +2,11 @@ package core
 
 // Wire message names and payloads for the CLASH protocol. The live overlay
 // (internal/overlay) serialises these with the hand-rolled binary codec in
-// wire.go (MarshalWire/UnmarshalWire); the JSON tags are retained for the
-// legacy baseline benchmark and for human-readable dumps. The planned
-// discrete-event simulator will only count them. Keeping the definitions here
-// makes the protocol surface visible in one place and lets both drivers share
-// the same vocabulary when accounting for signaling overhead (paper §6.3).
+// wire.go (MarshalWire/UnmarshalWire); the JSON tags are retained for
+// human-readable dumps. Keeping the definitions here makes the protocol
+// surface visible in one place and lets the live overlay and the simulator
+// share the same vocabulary when accounting for signaling overhead (paper
+// §6.3).
 //
 // Identifier keys and key groups travel as (value, bits) pairs — the binary
 // representation internal/bitkey uses natively — rather than the binary-digit

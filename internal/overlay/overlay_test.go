@@ -102,7 +102,7 @@ func activeGroups(nodes []*Node) map[string]string {
 // TestOverlayRootDistribution checks that bootstrap groups migrate to the
 // nodes their virtual keys hash to once the ring has formed.
 func TestOverlayRootDistribution(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	nodes := buildOverlay(t, netw, 3, testConfig())
 	groups := activeGroups(nodes)
 	if len(groups) != 4 {
@@ -131,7 +131,7 @@ func TestOverlayRootDistribution(t *testing.T) {
 // consolidates back; and a registered continuous query receives its matches
 // across all of it.
 func TestOverlayEndToEnd(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 3, cfg)
 	seeds := []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()}
@@ -289,7 +289,7 @@ func TestOverlayEndToEnd(t *testing.T) {
 // server dies evicts the dead bindings and re-resolves through the ring once
 // the overlay has repaired itself.
 func TestOverlayNodeFailureReroutesClients(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 4, cfg)
 

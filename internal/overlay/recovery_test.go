@@ -232,7 +232,7 @@ func (f *lossyTransport) CallOpts(addr, msgType string, payload []byte, opts Cal
 // pass must collapse the duplicate through the epoch-idempotent accept — one
 // holder at the end, the query state intact, both tables prefix-free.
 func TestReconcileReplyLostIdempotent(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	cfg.BootstrapDepth = 3 // 8 roots: some are guaranteed to map to node-1
 
@@ -326,7 +326,7 @@ func TestReconcileReplyLostIdempotent(t *testing.T) {
 // and the group taken back locally — the key range and its query state must
 // not vanish.
 func TestPendingTransferDedupAndDrop(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	n0, err := NewNode(netw.Endpoint("node-0"), cfg)
 	if err != nil {
@@ -393,7 +393,7 @@ func TestPendingTransferDedupAndDrop(t *testing.T) {
 // sender is the only node left), the retry keeps the group locally instead of
 // dialing the dead split-time target forever.
 func TestPendingTransferRehomesToSelf(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	node, err := NewNode(netw.Endpoint("node-0"), testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestPendingTransferRehomesToSelf(t *testing.T) {
 // address recovers its pre-crash groups and queries by querying the
 // successors — even though the ring never had time to detect the failure.
 func TestRecoverOwnStateAfterRestart(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 3, cfg)
 
@@ -473,7 +473,7 @@ func TestRecoverOwnStateAfterRestart(t *testing.T) {
 // pushes as loose records and is re-placed by the survivors after the parking
 // node crashes, instead of dying with it.
 func TestLooseQueriesSurviveCrash(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 3, cfg)
 

@@ -242,11 +242,15 @@ func (ws *writeScratch) drainWrite(conn net.Conn, stats *transportStats, first [
 	}
 write:
 	ws.bufs = append(ws.bufs[:0], ws.owned...)
+	// Count before writing: once the bytes are on the socket the peer may
+	// reply and the caller read Stats before this goroutine runs again.
+	for _, b := range ws.owned {
+		stats.countOut(len(b))
+	}
 	//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
 	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := ws.bufs.WriteTo(conn) // writev: one syscall for the whole batch
 	for i, b := range ws.owned {
-		stats.countOut(len(b))
 		wirecodec.PutBuf(b)
 		ws.owned[i] = nil
 	}

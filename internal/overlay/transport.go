@@ -87,8 +87,7 @@ type TransportStats struct {
 	Shed uint64 `json:"shed"`
 }
 
-// transportStats is the shared atomic counter block embedded by both
-// transports.
+// transportStats is the TCP transport's atomic counter block.
 type transportStats struct {
 	framesIn, framesOut atomic.Uint64
 	bytesIn, bytesOut   atomic.Uint64
@@ -128,13 +127,13 @@ func (s *transportStats) snapshot() TransportStats {
 // CallOpts tunes one Call. The zero value is the transport's legacy behavior
 // (its default deadline, no latency report).
 type CallOpts struct {
-	// Timeout bounds the whole exchange. Zero means the transport default
-	// (tcpCallTimeout on TCP, unbounded on the instantaneous fabrics).
+	// Timeout bounds the whole exchange. Zero means the transport default:
+	// tcpCallTimeout on TCP, the same 10 s on the in-memory fabric.
 	Timeout time.Duration
 	// RTT, when non-nil, receives the observed round-trip latency of a
-	// successful exchange. Transports that model latency rather than incur it
-	// (the simulator's) report the modeled value here; wall-clock transports
-	// may leave it untouched and let the caller measure elapsed time.
+	// successful exchange. The in-memory fabric reports its modeled link
+	// latency here (zero without a link model); TCP reports the measured wall
+	// time. A zero report leaves the caller to measure elapsed time.
 	RTT *time.Duration
 }
 
@@ -144,9 +143,9 @@ type CallOpts struct {
 // Calls to the same address must be able to share one underlying connection
 // (pipelining): a Call never waits for an unrelated Call's reply.
 //
-// Two implementations exist: MemNetwork endpoints for deterministic in-process
-// tests and TCPTransport for real deployments. Both speak the same framed wire
-// protocol (wire.go).
+// Two implementations exist: MemNetwork endpoints, the in-memory fabric the
+// tests, clashload -inproc and the simulator run on, and TCPTransport for
+// real deployments, which speaks the framed wire protocol (wire.go).
 type Transport interface {
 	// Addr returns the endpoint's address, which doubles as its identity:
 	// the chord ring position is the hash of this address and the CLASH

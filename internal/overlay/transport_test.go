@@ -132,55 +132,6 @@ func (zeroReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestMemTransportCallAndFailures(t *testing.T) {
-	net := NewMemNetwork()
-	a := net.Endpoint("a")
-	b := net.Endpoint("b")
-	b.SetHandler(func(msgType string, payload []byte) ([]byte, error) {
-		if msgType == TypeStatus {
-			return nil, fmt.Errorf("handler says no")
-		}
-		return append([]byte("echo:"), payload...), nil
-	})
-
-	reply, err := a.Call("b", TypePing, []byte("hi"))
-	if err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if string(reply) != "echo:hi" {
-		t.Errorf("reply = %q", reply)
-	}
-	if net.Calls(TypePing) != 1 {
-		t.Errorf("Calls(ping) = %d, want 1", net.Calls(TypePing))
-	}
-
-	if _, err := a.Call("b", TypeStatus, nil); !IsRemote(err) {
-		t.Errorf("remote handler error = %v, want RemoteError", err)
-	}
-	if _, err := a.Call("b", "not.registered", nil); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("unregistered type = %v, want ErrBadFrame", err)
-	}
-	if _, err := a.Call("missing", TypePing, nil); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("call to unknown endpoint = %v, want ErrUnreachable", err)
-	}
-	net.SetDown("b", true)
-	if _, err := a.Call("b", TypePing, nil); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("call to down endpoint = %v, want ErrUnreachable", err)
-	}
-	net.SetDown("b", false)
-	if _, err := a.Call("b", TypePing, nil); err != nil {
-		t.Errorf("call after SetDown(false): %v", err)
-	}
-
-	st := a.Stats()
-	if st.FramesOut == 0 || st.BytesOut == 0 {
-		t.Errorf("caller stats not counted: %+v", st)
-	}
-	if bst := b.Stats(); bst.FramesIn == 0 {
-		t.Errorf("target stats not counted: %+v", bst)
-	}
-}
-
 func TestTCPTransportCall(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -427,7 +378,7 @@ func TestCrossTransportByteIdentity(t *testing.T) {
 		}, r
 	}
 
-	memNet := NewMemNetwork()
+	memNet := newMemNet()
 	memCli := memNet.Endpoint("cli")
 	memSrv := memNet.Endpoint("srv")
 	memHandler, memGot := record()

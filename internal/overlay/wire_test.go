@@ -130,7 +130,7 @@ func prefixKey(t *testing.T, keyBits int, prefix uint64, prefixBits int, low uin
 // one TypeAcceptBatch frame per server, match continuous queries inline and
 // keep per-item accounting.
 func TestBatchThroughOverlay(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 3, cfg)
 	seeds := []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()}
@@ -207,7 +207,7 @@ func TestBatchThroughOverlay(t *testing.T) {
 
 // TestBatcherFlushes exercises the size- and interval-triggered flushes.
 func TestBatcherFlushes(t *testing.T) {
-	netw := NewMemNetwork()
+	netw := newMemNet()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 2, cfg)
 	client, err := NewClient(netw.Endpoint("batcher-client"), cfg.KeyBits, cfg.Space, nodes[0].Addr())

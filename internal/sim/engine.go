@@ -1,8 +1,8 @@
 // Package sim is the deterministic discrete-event simulator for the CLASH
 // overlay: a virtual clock, a priority event queue and a seeded PRNG drive
 // unmodified overlay.Nodes (via the clock.Clock they are configured with) over
-// a simulated transport (Net) with per-link latency, jitter, loss and
-// partitions. A thousand-node overlay runs an hour of virtual protocol time
+// the in-memory fabric (overlay.MemNetwork, with the Engine as its Timeline)
+// with per-link latency, jitter, loss, partitions and gray faults. A thousand-node overlay runs an hour of virtual protocol time
 // in seconds of wall clock, and two runs with the same seed are
 // bit-identical — every figure the scenario harness (Run, cmd/clashsim)
 // records is reproducible.
@@ -13,8 +13,8 @@
 // measurement-interval granularity — maintenance rounds, load checks,
 // traffic bursts and churn are scheduled events on the virtual clock, while
 // individual message exchanges execute inline at their issue instant with
-// their latency sampled into statistics (see Net). Nothing in the simulated
-// path reads the wall clock or sleeps.
+// their latency sampled into statistics (see Engine.Elapse). Nothing in the
+// simulated path reads the wall clock or sleeps.
 package sim
 
 import (
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"clash/internal/clock"
+	"clash/internal/overlay"
 )
 
 // event is one scheduled callback.
@@ -62,6 +63,10 @@ type Engine struct {
 	seq   uint64
 	heap  eventHeap
 	rng   *rand.Rand
+
+	// traceCost, when armed by TraceCall, accumulates the link latency the
+	// traced function's calls were charged (see Elapse).
+	traceCost *time.Duration
 }
 
 // epoch is an arbitrary fixed instant virtual time counts from; any constant
@@ -122,6 +127,44 @@ func (e *Engine) RunUntil(t time.Duration) {
 	if e.now < t {
 		e.now = t
 	}
+}
+
+// Elapse implements overlay.Timeline. An exchange executes at the virtual
+// instant it is issued (the handler runs inline): the sampled latency feeds
+// the fabric's delivery-latency statistics and its loss/partition verdicts
+// fail calls for real, but a call does not suspend its caller in virtual
+// time. The latency is charged to the armed TraceCall instead. The simulator
+// works at the paper's measurement-interval granularity (load rates, report
+// aging and merge pacing all run on the scheduled maintenance grid) rather
+// than packet-serialised time, which is what lets a single-threaded,
+// bit-deterministic engine drive thousands of nodes whose exchanges
+// logically overlap.
+func (e *Engine) Elapse(d time.Duration) {
+	if e.traceCost != nil {
+		*e.traceCost += d
+	}
+}
+
+// AfterFunc implements overlay.Timeline: fn runs as an event d from now.
+func (e *Engine) AfterFunc(d time.Duration, fn func()) { e.After(d, fn) }
+
+// TraceCall runs fn and returns the virtual time its transport calls would
+// have cost a real caller: the round-trip latency of every successful call,
+// the expired deadline of every timeout, the drop timeout of every loss.
+// This is how a scenario bounds a maintenance tick's cost: the simulator
+// executes events instantaneously, so blocking time must be accounted, not
+// measured. Nested traces each see their own calls; an outer trace includes
+// the inner's cost.
+func (e *Engine) TraceCall(fn func()) time.Duration {
+	var cost time.Duration
+	prev := e.traceCost
+	e.traceCost = &cost
+	fn()
+	e.traceCost = prev
+	if prev != nil {
+		*prev += cost
+	}
+	return cost
 }
 
 // NewTimer implements clock.Clock on virtual time.
@@ -186,4 +229,7 @@ type simTicker struct {
 func (t *simTicker) C() <-chan time.Time { return t.ch }
 func (t *simTicker) Stop()               { t.stopped = true }
 
-var _ clock.Clock = (*Engine)(nil)
+var (
+	_ clock.Clock      = (*Engine)(nil)
+	_ overlay.Timeline = (*Engine)(nil)
+)

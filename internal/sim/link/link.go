@@ -1,10 +1,10 @@
 // Package link models one-way network link behavior — propagation latency
-// with jitter and independent per-message loss — shared by the deterministic
-// simulator transport (internal/sim) and the in-memory overlay transport's
-// optional latency injection (overlay.MemNetwork.SetLink, clashload
-// -inproc -latency). The model deliberately has no clock of its own: callers
-// sample it with their PRNG and apply the result on whatever timeline they
-// run (virtual event time in the simulator, real time.Sleep in -inproc runs).
+// with jitter, independent per-message loss, duplication and late delivery —
+// for the in-memory overlay fabric (overlay.MemNetwork.SetLink), which both
+// the deterministic simulator (internal/sim) and clashload -inproc -latency
+// run on. The model deliberately has no clock of its own: the fabric samples
+// it with its PRNG and applies the result on its timeline (charged in
+// virtual time in the simulator, slept in -inproc runs).
 package link
 
 import (
@@ -28,13 +28,11 @@ type Model struct {
 	// timeout). Zero means the loss surfaces immediately.
 	DropTimeout time.Duration `json:"drop_timeout,omitempty"`
 	// Dup is the independent probability in [0, 1) that a delivered message
-	// is duplicated — the copy arrives too (gray-fault injection; only the
-	// simulator transport honors it).
+	// is duplicated — the copy arrives too (gray-fault injection).
 	Dup float64 `json:"dup,omitempty"`
 	// Reorder is the independent probability in [0, 1) that a delivered
 	// message spawns a late duplicate — a stale copy arriving DropTimeout
-	// after the original (gray-fault injection; only the simulator transport
-	// honors it).
+	// after the original (gray-fault injection).
 	Reorder float64 `json:"reorder,omitempty"`
 }
 

@@ -8,18 +8,23 @@ import (
 
 	"clash/internal/overlay"
 	"clash/internal/sim/link"
+	"clash/internal/wirecodec"
 )
 
-func testNet(t *testing.T, m link.Model) (*Engine, *Net) {
+// testNet builds the in-memory fabric on an engine, as Run does.
+func testNet(t *testing.T, m link.Model) (*Engine, *overlay.MemNetwork) {
 	t.Helper()
 	eng := NewEngine(1)
-	net, err := NewNet(eng, m)
-	if err != nil {
+	net := overlay.NewMemNetwork(eng, eng.Rand())
+	if err := net.SetLink(m); err != nil {
 		t.Fatal(err)
 	}
 	return eng, net
 }
 
+// TestNetCallAndErrors drives the fabric on the engine timeline, as Run does:
+// an echo round trip, the per-type call count, a remote handler error, and
+// unknown or down endpoints surfacing as ErrUnreachable.
 func TestNetCallAndErrors(t *testing.T) {
 	_, net := testNet(t, link.Model{})
 	a := net.Endpoint("a")
@@ -113,16 +118,17 @@ func TestNetLatencyRecordedAndLoss(t *testing.T) {
 }
 
 // TestNetPayloadIsolation checks that a handler retaining its payload is not
-// corrupted by the caller recycling the buffer, and vice versa for replies.
+// corrupted by the caller recycling the buffer, and that the caller's reply
+// survives the handler's reply buffer going back to the pool.
 func TestNetPayloadIsolation(t *testing.T) {
 	_, net := testNet(t, link.Model{})
 	a := net.Endpoint("a")
 	b := net.Endpoint("b")
-	var retained []byte
-	reply := []byte("reply")
+	var retained, handed []byte
 	b.SetHandler(func(_ string, payload []byte) ([]byte, error) {
 		retained = payload
-		return reply, nil
+		handed = append(wirecodec.GetBuf(), "reply"...)
+		return handed, nil
 	})
 	buf := []byte("payload")
 	got, err := a.Call("b", overlay.TypePing, buf)
@@ -130,11 +136,56 @@ func TestNetPayloadIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = 'X'
-	reply[0] = 'X'
+	handed[0] = 'X' // the fabric recycled it: the next pool user may write
 	if string(retained) != "payload" {
 		t.Errorf("handler payload corrupted: %q", retained)
 	}
 	if string(got) != "reply" {
 		t.Errorf("caller reply corrupted: %q", got)
+	}
+}
+
+// TestNetEngineTimeline checks the engine as the fabric's time source: a
+// call's sampled round trip is charged to the armed TraceCall instead of
+// advancing the clock, and a late duplicate lands as an engine event.
+func TestNetEngineTimeline(t *testing.T) {
+	m := link.Model{BaseLatency: 10 * time.Millisecond, DropTimeout: 40 * time.Millisecond, Reorder: 0.999}
+	eng, net := testNet(t, m)
+	a := net.Endpoint("a")
+	calls := 0
+	net.Endpoint("b").SetHandler(func(string, []byte) ([]byte, error) {
+		calls++
+		return nil, nil
+	})
+	var rtt time.Duration
+	cost := eng.TraceCall(func() {
+		if _, err := a.CallOpts("b", overlay.TypePing, nil, overlay.CallOpts{RTT: &rtt}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cost != 20*time.Millisecond || rtt != cost {
+		t.Errorf("charged %v with RTT %v, want both 20ms", cost, rtt)
+	}
+	if eng.VirtualNow() != 0 || calls != 1 {
+		t.Fatalf("after the call: virtual now %v, %d deliveries; want 0 and 1", eng.VirtualNow(), calls)
+	}
+	eng.RunUntil(49 * time.Millisecond)
+	if calls != 1 {
+		t.Errorf("late copy landed before request latency + drop timeout")
+	}
+	eng.RunUntil(50 * time.Millisecond)
+	if calls != 2 {
+		t.Errorf("late copy not delivered at 50ms: %d deliveries", calls)
+	}
+
+	// A deadline below the request latency costs exactly the deadline.
+	cost = eng.TraceCall(func() {
+		_, err := a.CallOpts("b", overlay.TypePing, nil, overlay.CallOpts{Timeout: 5 * time.Millisecond})
+		if !errors.Is(err, overlay.ErrDeadline) {
+			t.Errorf("short deadline = %v, want ErrDeadline", err)
+		}
+	})
+	if cost != 5*time.Millisecond {
+		t.Errorf("expired deadline charged %v, want 5ms", cost)
 	}
 }

@@ -324,7 +324,7 @@ type simNode struct {
 type runner struct {
 	sc     Scenario
 	eng    *Engine
-	net    *Net
+	net    *overlay.MemNetwork
 	nodes  []*simNode
 	client *overlay.Client
 
@@ -367,8 +367,8 @@ func Run(sc Scenario) (*Result, error) {
 	// the real model engages when the run starts.
 	bootLink := sc.Link
 	bootLink.Loss = 0
-	net, err := NewNet(eng, bootLink)
-	if err != nil {
+	net := overlay.NewMemNetwork(eng, eng.Rand())
+	if err := net.SetLink(bootLink); err != nil {
 		return nil, err
 	}
 	if err := sc.Link.Validate(); err != nil {
@@ -384,7 +384,7 @@ func Run(sc Scenario) (*Result, error) {
 	if err := r.boot(); err != nil {
 		return nil, err
 	}
-	if err := net.SetModel(sc.Link); err != nil {
+	if err := net.SetLink(sc.Link); err != nil {
 		return nil, err
 	}
 	// Gray slowness engages with the real link model: the overlay converges
@@ -567,7 +567,7 @@ func (r *runner) schedule(base time.Duration, res *Result) {
 				if sn.down {
 					return
 				}
-				cost := r.net.TraceCall(sn.node.Tick)
+				cost := r.eng.TraceCall(sn.node.Tick)
 				if r.slowSet[sn.addr] {
 					r.slowTickCost.Record(cost.Microseconds())
 				} else {
